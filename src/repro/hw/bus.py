@@ -11,7 +11,8 @@ Two usage styles:
 - ``yield from bus.transfer(master, target, words)`` inside a
   :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated.
 - ``bus.stats`` exposes utilization counters that the analytic
-  contention model in :mod:`repro.hw.contention` is calibrated against.
+  contention model (:func:`analytic_txn_waits`, below) is calibrated
+  against.
 """
 
 from __future__ import annotations

@@ -1,23 +1,20 @@
 """``repro-verify``: one command that runs every repo health gate.
 
-The repo's correctness story is spread over two surfaces: the tier-1
-pytest suite (``tests/``, fast by construction) and the four
-subsystem CLIs' ``--self-check`` modes (``repro-lint``,
-``repro-perf``, ``repro-obs``, ``repro-faults``), each of which
-smoke-runs its machinery against built-in fixtures and enforces the
-determinism invariants the test suite samples.  ``repro-verify`` runs
-all of them and exits non-zero if *any* fails -- the single command a
-pre-push hook or CI job needs::
+The repo's correctness story lives in the tier-1 pytest suite
+(``tests/``, fast by construction).  It also runs the invariant
+registry (:mod:`repro.invariants`) -- the cross-layer determinism
+sentinels behind each subsystem CLI's ``--self-check`` -- once, as
+``tests/test_invariants.py``.  So the default mode is just tier-1;
+the registry runs directly only when tier-1 is skipped::
 
-    repro-verify                  # tier-1 pytest + all four self-checks
-    repro-verify --skip-tier1     # self-checks only (seconds)
-    repro-verify --only perf obs  # a subset of the self-checks
+    repro-verify                  # tier-1 pytest (includes the registry)
+    repro-verify --skip-tier1     # the invariant registry only (seconds)
+    repro-verify --only perf obs  # a subset of the registry tiers
     repro-verify --list           # show what would run
 
 The tier-1 suite runs as a ``python -m pytest`` subprocess with
 ``PYTHONPATH=src`` prepended, matching the repo's documented
-invocation; the self-checks run in-process (they are plain functions
-returning an exit code).
+invocation; the registry runs in-process.
 """
 
 from __future__ import annotations
@@ -27,40 +24,11 @@ import os
 import subprocess
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro import __version__
+from repro import __version__, invariants
 
-__all__ = ["CHECKS", "run_tier1", "main"]
-
-
-def _lint_check(out=None) -> int:
-    from repro.lint.cli import self_check
-    return self_check(out=out)
-
-
-def _perf_check(out=None) -> int:
-    from repro.perf.cli import self_check
-    return self_check(out=out)
-
-
-def _obs_check(out=None) -> int:
-    from repro.obs.cli import self_check
-    return self_check(out=out)
-
-
-def _faults_check(out=None) -> int:
-    from repro.faults.cli import self_check
-    return self_check(out=out)
-
-
-#: Name -> in-process self-check callable, in run order.
-CHECKS: Dict[str, Callable[..., int]] = {
-    "lint": _lint_check,
-    "perf": _perf_check,
-    "obs": _obs_check,
-    "faults": _faults_check,
-}
+__all__ = ["run_tier1", "main"]
 
 
 def run_tier1(pytest_args: Optional[Sequence[str]] = None,
@@ -68,8 +36,7 @@ def run_tier1(pytest_args: Optional[Sequence[str]] = None,
     """The tier-1 pytest suite as a subprocess; returns its exit code.
 
     A subprocess (not ``pytest.main``) keeps the suite's imports,
-    fixtures and monkeypatching out of this process -- self-checks
-    that ran before or after see a pristine interpreter.
+    fixtures and monkeypatching out of this process.
     """
     root = repo_root or os.getcwd()
     env = dict(os.environ)
@@ -87,15 +54,15 @@ def run_tier1(pytest_args: Optional[Sequence[str]] = None,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-verify",
-        description="run the tier-1 test suite and every subsystem "
-        "self-check; exit non-zero if any fails",
+        description="run the tier-1 test suite (which runs every "
+        "registry invariant once); exit non-zero if it fails",
     )
     parser.add_argument("--skip-tier1", action="store_true",
-                        help="run only the subsystem self-checks")
-    parser.add_argument("--only", nargs="+", choices=sorted(CHECKS),
+                        help="run only the invariant registry")
+    parser.add_argument("--only", nargs="+", choices=list(invariants.TIERS),
                         metavar="CHECK", default=None,
-                        help=f"run only these self-checks "
-                        f"({', '.join(CHECKS)})")
+                        help=f"run only these registry tiers "
+                        f"({', '.join(invariants.TIERS)})")
     parser.add_argument("--list", action="store_true",
                         help="list the gates that would run and exit")
     parser.add_argument("--pytest-args", nargs=argparse.REMAINDER,
@@ -104,40 +71,31 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "verbatim (e.g. --pytest-args -x -k obs)")
     args = parser.parse_args(argv)
 
-    selected = list(args.only) if args.only else list(CHECKS)
+    tier1 = not (args.skip_tier1 or args.only)
+    tiers = None if tier1 else list(args.only or invariants.TIERS)
     if args.list:
-        if not args.skip_tier1 and not args.only:
-            print("tier1   : PYTHONPATH=src python -m pytest -q")
-        for name in selected:
-            print(f"{name:<8}: repro-{name} --self-check")
+        if tier1:
+            print("tier1   : PYTHONPATH=src python -m pytest -q "
+                  "(runs every invariant below once)")
+        for tier in tiers or invariants.TIERS:
+            names = [fn.__name__ for _, fn in invariants.registry([tier])]
+            print(f"{tier:<8}: {', '.join(names) or '(no invariants)'}")
         return 0
 
-    failures: List[str] = []
-    timings: List[Tuple[str, float, int]] = []
-
-    def run_gate(name: str, runner: Callable[[], int]) -> None:
-        print(f"=== {name} ===")
-        started = time.perf_counter()
-        code = runner()
-        elapsed = time.perf_counter() - started
-        timings.append((name, elapsed, code))
-        if code != 0:
-            failures.append(name)
-        print()
-
-    if not args.skip_tier1 and not args.only:
-        run_gate("tier1 (pytest)",
-                 lambda: run_tier1(pytest_args=args.pytest_args))
-    for name in selected:
-        run_gate(f"{name} --self-check", CHECKS[name])
+    started = time.perf_counter()
+    if tier1:
+        name = "tier1 (pytest)"
+        code = run_tier1(pytest_args=args.pytest_args)
+    else:
+        name = f"invariants ({', '.join(tiers)})"
+        code = invariants.run(tiers)
+    elapsed = time.perf_counter() - started
 
     print(f"repro-verify {__version__}")
-    for name, elapsed, code in timings:
-        verdict = "PASS" if code == 0 else f"FAIL (exit {code})"
-        print(f"  {name:<24} {elapsed:7.1f} s  {verdict}")
-    if failures:
-        print(f"verify: FAIL ({len(failures)} gate(s) failed: "
-              f"{', '.join(failures)})")
+    verdict = "PASS" if code == 0 else f"FAIL (exit {code})"
+    print(f"  {name:<24} {elapsed:7.1f} s  {verdict}")
+    if code != 0:
+        print(f"verify: FAIL ({name} failed)")
         return 1
     print("verify: PASS")
     return 0

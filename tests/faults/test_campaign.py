@@ -1,6 +1,5 @@
 """Fault campaigns over the pmap pool, caching, and the CLI."""
 
-import io
 import json
 
 import pytest
@@ -67,12 +66,11 @@ def test_min_gap_matches_fault_model_zero_misses():
 
 
 # ------------------------------------------------------------------- CLI
-def test_cli_self_check_passes():
-    out = io.StringIO()
-    assert cli.self_check(out=out) == 0
-    text = out.getvalue()
-    assert "self-check: PASS" in text
-    assert "FAIL" not in text.replace("PASS/FAIL", "")
+def test_cli_self_check_passes(fake_registry, capsys):
+    calls, _ = fake_registry
+    assert cli.main(["--self-check"]) == 0
+    assert calls == ["faults_ok"]
+    assert "self-check: PASS" in capsys.readouterr().out
 
 
 def test_cli_plan_prints_json(capsys):

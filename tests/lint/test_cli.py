@@ -1,11 +1,10 @@
-"""The repro-lint command line front end and its self-check smoke mode."""
+"""The repro-lint command line front end."""
 
-import io
 import json
 
 import pytest
 
-from repro.lint.cli import main, self_check
+from repro.lint.cli import main
 from repro.trace.export import trace_to_json
 from repro.trace.recorder import TraceRecorder
 
@@ -32,14 +31,18 @@ def write(tmp_path, name, content):
 
 
 class TestSelfCheck:
-    def test_self_check_passes(self):
-        out = io.StringIO()
-        assert self_check(out=out) == 0
-        assert "self-check: PASS" in out.getvalue()
+    """``--self-check`` runs the registry's lint tier (faked here)."""
 
-    def test_main_flag(self, capsys):
+    def test_self_check_passes(self, fake_registry, capsys):
+        calls, _ = fake_registry
         assert main(["--self-check"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert calls == ["lint_ok"]
+        assert "self-check: PASS" in capsys.readouterr().out
+
+    def test_main_flag(self, fake_registry):
+        _, install = fake_registry
+        install("lint", lint_broken=AssertionError("boom"))
+        assert main(["--self-check"]) == 1
 
 
 class TestAsmCommand:

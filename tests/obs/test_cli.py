@@ -27,10 +27,13 @@ def write(tmp_path, name, text):
 
 
 class TestSelfCheck:
-    def test_passes(self, capsys):
+    """``--self-check`` runs the registry's obs tier (faked here)."""
+
+    def test_passes(self, fake_registry, capsys):
+        calls, _ = fake_registry
         assert main(["--self-check"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL " not in out
+        assert calls == ["obs_ok"]
+        assert "self-check: PASS" in capsys.readouterr().out
 
 
 class TestConvert:

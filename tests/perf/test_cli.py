@@ -1,27 +1,28 @@
 """Tests for the repro-perf CLI and the timing harness."""
 
-import io
 import json
 
 import pytest
 
 from repro.perf import bench
-from repro.perf.cli import main, self_check
+from repro.perf.cli import main
 
 pytestmark = pytest.mark.perf
 
 
 class TestSelfCheck:
-    def test_passes(self):
-        out = io.StringIO()
-        assert self_check(out=out) == 0
-        text = out.getvalue()
-        assert "self-check: PASS" in text
-        assert "FAIL" not in text.replace("PASS", "")
+    """``--self-check`` runs the registry's perf tier (faked here)."""
 
-    def test_main_flag(self, capsys):
+    def test_passes(self, fake_registry, capsys):
+        calls, _ = fake_registry
         assert main(["--self-check"]) == 0
+        assert calls == ["perf_ok"]
         assert "self-check: PASS" in capsys.readouterr().out
+
+    def test_main_flag(self, fake_registry):
+        _, install = fake_registry
+        install("perf", perf_broken=AssertionError("boom"))
+        assert main(["--self-check"]) == 1
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

@@ -1,78 +1,72 @@
-"""repro-verify: gate aggregation and exit-code semantics."""
+"""repro-verify: gate selection and exit-code semantics, against a fake
+invariant registry."""
 
 import pytest
 
 from repro import verify
 
 
-@pytest.fixture
-def gates(monkeypatch):
-    """Replace the real self-checks with fast fakes; record invocations."""
-    calls = []
-
-    def fake(name, code):
-        def runner(out=None):
-            calls.append(name)
-            return code
-        return runner
-
-    checks = {"lint": fake("lint", 0), "perf": fake("perf", 0),
-              "obs": fake("obs", 0), "faults": fake("faults", 0)}
-    monkeypatch.setattr(verify, "CHECKS", checks)
-    return calls, checks
+def no_tier1(**kwargs):
+    pytest.fail("tier1 must not run")
 
 
-def test_all_gates_pass(gates, monkeypatch, capsys):
-    calls, _ = gates
+def test_all_gates_pass(fake_registry, monkeypatch, capsys):
+    calls, _ = fake_registry
     monkeypatch.setattr(verify, "run_tier1", lambda **kw: 0)
     assert verify.main([]) == 0
-    assert calls == ["lint", "perf", "obs", "faults"]
+    # Tier-1 already runs every invariant once; nothing runs after it.
+    assert calls == []
     out = capsys.readouterr().out
     assert "verify: PASS" in out and "tier1" in out
 
 
-def test_tier1_failure_fails_the_run(gates, monkeypatch, capsys):
+def test_tier1_failure_fails_the_run(fake_registry, monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_tier1", lambda **kw: 2)
     assert verify.main([]) == 1
     assert "verify: FAIL" in capsys.readouterr().out
 
 
-def test_any_self_check_failure_fails_the_run(gates, monkeypatch, capsys):
-    calls, checks = gates
-    checks["obs"] = lambda out=None: 1
-    monkeypatch.setattr(verify, "run_tier1", lambda **kw: 0)
-    assert verify.main([]) == 1
+def test_any_self_check_failure_fails_the_run(fake_registry, monkeypatch,
+                                              capsys):
+    calls, install = fake_registry
+    install("obs", obs_broken=AssertionError("boom"))
+    monkeypatch.setattr(verify, "run_tier1", no_tier1)
+    assert verify.main(["--skip-tier1"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "obs" in out
-    # A failing gate must not stop the later ones from running.
-    assert "faults" in calls
+    assert "FAIL obs_broken: boom" in out and "verify: FAIL" in out
+    # A failing invariant must not stop the later tiers from running.
+    assert calls == ["lint_ok", "perf_ok", "obs_broken", "faults_ok"]
 
 
-def test_skip_tier1_runs_only_self_checks(gates, monkeypatch):
-    calls, _ = gates
-    monkeypatch.setattr(verify, "run_tier1",
-                        lambda **kw: pytest.fail("tier1 must not run"))
+def test_skip_tier1_runs_only_self_checks(fake_registry, monkeypatch):
+    calls, _ = fake_registry
+    monkeypatch.setattr(verify, "run_tier1", no_tier1)
     assert verify.main(["--skip-tier1"]) == 0
-    assert calls == ["lint", "perf", "obs", "faults"]
+    assert calls == ["lint_ok", "perf_ok", "obs_ok", "faults_ok"]
 
 
-def test_only_selects_a_subset_and_skips_tier1(gates, monkeypatch):
-    calls, _ = gates
-    monkeypatch.setattr(verify, "run_tier1",
-                        lambda **kw: pytest.fail("tier1 must not run"))
+def test_only_selects_a_subset_and_skips_tier1(fake_registry, monkeypatch):
+    calls, _ = fake_registry
+    monkeypatch.setattr(verify, "run_tier1", no_tier1)
     assert verify.main(["--only", "perf", "obs"]) == 0
-    assert calls == ["perf", "obs"]
+    assert calls == ["perf_ok", "obs_ok"]
 
 
-def test_list_mode_runs_nothing(gates, capsys):
-    calls, _ = gates
+def test_list_mode_runs_nothing(fake_registry, monkeypatch, capsys):
+    calls, install = fake_registry
+    install("faults")
+    monkeypatch.setattr(verify, "run_tier1", no_tier1)
     assert verify.main(["--list"]) == 0
     assert calls == []
-    out = capsys.readouterr().out
-    assert "tier1" in out and "faults" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("tier1   : ")
+    assert lines[1:] == ["lint    : lint_ok", "perf    : perf_ok",
+                         "obs     : obs_ok", "faults  : (no invariants)"]
+    assert verify.main(["--only", "obs", "--list"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["obs     : obs_ok"]
 
 
-def test_unknown_check_rejected(gates):
+def test_unknown_check_rejected(fake_registry):
     with pytest.raises(SystemExit):
         verify.main(["--only", "nope"])
 
