@@ -13,13 +13,11 @@ match); cross-host ratios are noise, not regressions.  The
 determinism assertions run everywhere.
 """
 
-import json
 import os
-import platform
 
 import pytest
 
-from repro.perf.bench import bench_engine
+from repro.perf.bench import bench_engine, load_bench_baseline, same_host
 
 pytestmark = pytest.mark.perf
 
@@ -27,14 +25,6 @@ BENCH_FILE = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
 
 #: Throughput must stay above this fraction of the committed value.
 FLOOR_RATIO = 0.9
-
-
-def _baseline():
-    try:
-        with open(BENCH_FILE) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +40,10 @@ def test_engine_throughput_no_regression(measured, report):
         f"[Engine] {measured['events']} events in {measured['elapsed_s']} s "
         f"({measured['events_per_s']} events/s)"
     )
-    baseline = _baseline()
+    baseline = load_bench_baseline(BENCH_FILE)
     if baseline is None:
         pytest.skip("no BENCH_perf.json baseline to compare against")
-    if baseline["host"]["platform"] != platform.platform():
+    if not same_host(baseline):
         pytest.skip("BENCH_perf.json was recorded on a different host")
     committed = baseline["engine"]["events_per_s"]
     floor = FLOOR_RATIO * committed
@@ -69,7 +59,7 @@ def test_engine_event_count_matches_baseline(measured):
     """The workload itself is deterministic: same event count as the
     committed run, or the benchmark is no longer comparing like with
     like."""
-    baseline = _baseline()
+    baseline = load_bench_baseline(BENCH_FILE)
     if baseline is None:
         pytest.skip("no BENCH_perf.json baseline to compare against")
     assert measured["events"] == baseline["engine"]["events"]

@@ -13,12 +13,11 @@ match).  The structural assertions -- observable equivalence and the
 collapsed events-per-instruction count -- run everywhere.
 """
 
-import json
 import os
-import platform
 
 import pytest
 
+from repro.perf.bench import load_bench_baseline, same_host
 from repro.perf.isabench import bench_isa
 
 pytestmark = pytest.mark.perf
@@ -27,14 +26,6 @@ BENCH_FILE = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
 
 #: Aggregate speedup must stay above this fraction of the committed value.
 FLOOR_RATIO = 0.9
-
-
-def _baseline():
-    try:
-        with open(BENCH_FILE) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +56,12 @@ def test_block_mode_collapses_event_count(measured):
 
 
 def test_isa_speedup_no_regression(measured):
-    baseline = _baseline()
+    baseline = load_bench_baseline(BENCH_FILE)
     if baseline is None:
         pytest.skip("no BENCH_perf.json baseline to compare against")
     if "isa" not in baseline:
         pytest.skip("BENCH_perf.json has no isa section yet")
-    if baseline["host"]["platform"] != platform.platform():
+    if not same_host(baseline):
         pytest.skip("BENCH_perf.json was recorded on a different host")
     committed = baseline["isa"]["speedup"]
     floor = FLOOR_RATIO * committed

@@ -14,13 +14,11 @@ table.  As with the engine gate, the wall-clock comparison only
 applies when ``BENCH_perf.json`` was recorded on this host.
 """
 
-import json
 import os
-import platform
 
 import pytest
 
-from repro.perf.bench import bench_tlm
+from repro.perf.bench import bench_tlm, load_bench_baseline, same_host
 from repro.simulators.tlm import DEFAULT_COST_TABLE
 
 pytestmark = pytest.mark.perf
@@ -35,14 +33,6 @@ FLOOR_RATIO = 0.9
 #: the TLM rung earns its place on the ladder by being >= 25x faster
 #: than the prototype on every anchor cell.
 COMMITTED_SPEEDUP_BAR = 25.0
-
-
-def _baseline():
-    try:
-        with open(BENCH_FILE) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +66,10 @@ def test_tlm_accuracy_contract(measured, report):
 
 
 def test_tlm_speedup_no_regression(measured, report):
-    baseline = _baseline()
+    baseline = load_bench_baseline(BENCH_FILE)
     if baseline is None or "tlm" not in baseline:
         pytest.skip("no BENCH_perf.json tlm baseline to compare against")
-    if baseline["host"]["platform"] != platform.platform():
+    if not same_host(baseline):
         pytest.skip("BENCH_perf.json was recorded on a different host")
     committed = baseline["tlm"]["min_speedup"]
     floor = FLOOR_RATIO * committed
@@ -100,7 +90,7 @@ def test_committed_entry_clears_paper_bar():
     """The committed tlm entry itself must document a >= 25x rung with
     the accuracy cross-check green (this is a static check of the
     repository artefact, not a timing)."""
-    baseline = _baseline()
+    baseline = load_bench_baseline(BENCH_FILE)
     if baseline is None or "tlm" not in baseline:
         pytest.skip("no BENCH_perf.json tlm baseline to compare against")
     entry = baseline["tlm"]

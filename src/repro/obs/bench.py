@@ -22,23 +22,14 @@ stays under 2% on a matching host.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
 from typing import Any, Dict, Optional
+
+from repro.perf.bench import host, load_bench_baseline, same_host
 
 #: Maximum tolerated disabled-instrumentation slowdown vs the recorded
 #: baseline (fraction; 0.02 == 2%).
 OVERHEAD_BUDGET = 0.02
-
-
-def _host() -> Dict[str, Any]:
-    return {
-        "cpus": os.cpu_count() or 1,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -61,18 +52,16 @@ def load_baseline_cell_s(bench_file: str = "BENCH_perf.json") -> Optional[Dict[s
     Returns ``None`` when the file is absent or malformed; sets
     ``host_matches`` so callers can refuse cross-host comparisons.
     """
+    recorded = load_bench_baseline(bench_file)
     try:
-        with open(bench_file) as handle:
-            recorded = json.load(handle)
         figure4 = recorded["figure4"]
         cell_s = figure4["serial_s"] / figure4["cells"]
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return None
-    recorded_host = recorded.get("host", {})
     return {
         "cell_s": cell_s,
-        "host_matches": recorded_host.get("platform") == platform.platform(),
-        "recorded_platform": recorded_host.get("platform"),
+        "host_matches": same_host(recorded),
+        "recorded_platform": recorded.get("host", {}).get("platform"),
     }
 
 
@@ -95,7 +84,7 @@ def bench_obs_overhead(
     enabled_s = _best_of(enabled_run, repeats)
 
     result: Dict[str, Any] = {
-        "host": _host(),
+        "host": host(),
         "repeats": repeats,
         "utilization": utilization,
         "scale": scale,

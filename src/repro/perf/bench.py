@@ -219,6 +219,32 @@ def bench_tlm(
     }
 
 
+# ------------------------------------------------------------------ baseline
+def host() -> Dict[str, Any]:
+    """This host as the results file records it (``platform`` is the key
+    :func:`same_host` compares)."""
+    return {
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
+
+
+def load_bench_baseline(path: str = BENCH_FILE) -> Optional[Dict[str, Any]]:
+    """The committed results file, or None when absent or malformed."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        return None
+
+
+def same_host(baseline: Dict[str, Any]) -> bool:
+    """True when ``baseline`` was recorded on this host (platform string
+    match); wall-clock comparisons across hosts are noise."""
+    return baseline.get("host", {}).get("platform") == host()["platform"]
+
+
 # --------------------------------------------------------------------- main
 def run_benchmarks(
     out: Optional[str] = BENCH_FILE,
@@ -244,11 +270,7 @@ def run_benchmarks(
     utilizations = (0.40, 0.50) if quick else (0.40, 0.50, 0.60)
     results: Dict[str, Any] = {
         "version": __version__,
-        "host": {
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
+        "host": host(),
     }
     if tlm_only:
         results["tlm"] = bench_tlm(repeats=1 if quick else 3)
@@ -267,15 +289,10 @@ def run_benchmarks(
         if isa_only or tlm_only or engine_only:
             # Section-only regeneration: merge into an existing full
             # file instead of clobbering the other committed sections.
-            try:
-                with open(out) as handle:
-                    payload = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                payload = results
-            else:
-                for section in ("engine", "figure4", "cache", "tlm", "isa"):
-                    if section in results:
-                        payload[section] = results[section]
+            payload = load_bench_baseline(out) or results
+            for section in ("engine", "figure4", "cache", "tlm", "isa"):
+                if section in results:
+                    payload[section] = results[section]
         with open(out, "w") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")

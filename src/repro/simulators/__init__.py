@@ -16,6 +16,11 @@ points (:data:`FIDELITIES`, fastest first):
   (partitioned fixed-priority with background aperiodics, global
   fixed-priority, global EDF) for the ablation benchmarks.
 
+The theoretical rung and the baselines (policies on
+:class:`MultiprocessorSimulator`) share one stepping loop in
+:mod:`repro.simulators.abstract`, whose ``merge_arrivals`` every rung
+uses.
+
 :func:`make_simulator` dispatches a :class:`PrototypeConfig` on its
 ``fidelity`` field so sweeps pick a rung per query.
 """

@@ -9,16 +9,19 @@ The related-work section of the paper frames MPDP against two families:
   all processors but "do not deal with aperiodic tasks" -- here
   aperiodics also run in the background.
 
-These run on a shared event-exact engine
-(:class:`MultiprocessorSimulator`) so the ablation benchmarks can put
-aperiodic response times side by side under identical workloads.
+They are policies for one event-exact simulator
+(:class:`MultiprocessorSimulator`, on the stepping loop of
+:mod:`repro.simulators.abstract` it shares with the theoretical MPDP
+simulator) so the ablation benchmarks can put aperiodic response times
+side by side under identical workloads.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.task import AperiodicTask, Job, PeriodicTask, TaskSet
+from repro.core.task import Job, TaskSet
+from repro.simulators.abstract import AbstractSimulator
 from repro.trace.recorder import TraceRecorder
 
 
@@ -38,25 +41,10 @@ class BaselinePolicy:
         raise NotImplementedError
 
 
-class PartitionedFixedPriorityPolicy(BaselinePolicy):
-    """Periodic tasks pinned to their partition at fixed priority;
-    aperiodic jobs execute in the background (below every periodic) on
-    any processor, FIFO among themselves."""
-
-    name = "partitioned-fp"
-
-    def job_key(self, job: Job, now: int) -> Tuple:
-        if job.is_periodic:
-            return (1, job.task.high_priority, -job.uid)
-        return (0, -job.release, -job.uid)
-
-    def eligible_cpu(self, job: Job) -> Optional[int]:
-        return job.task.cpu if job.is_periodic else None
-
-
 class GlobalFixedPriorityPolicy(BaselinePolicy):
-    """Periodic tasks run anywhere at fixed priority; background
-    aperiodics."""
+    """Periodic tasks run anywhere at fixed priority; aperiodic jobs
+    execute in the background (below every periodic) on any processor,
+    FIFO among themselves."""
 
     name = "global-fp"
 
@@ -67,6 +55,16 @@ class GlobalFixedPriorityPolicy(BaselinePolicy):
 
     def eligible_cpu(self, job: Job) -> Optional[int]:
         return None
+
+
+class PartitionedFixedPriorityPolicy(GlobalFixedPriorityPolicy):
+    """Global FP with periodic tasks pinned to their partition;
+    background aperiodics on any processor."""
+
+    name = "partitioned-fp"
+
+    def eligible_cpu(self, job: Job) -> Optional[int]:
+        return job.task.cpu if job.is_periodic else None
 
 
 class GlobalEDFPolicy(BaselinePolicy):
@@ -84,7 +82,7 @@ class GlobalEDFPolicy(BaselinePolicy):
         return None
 
 
-class MultiprocessorSimulator:
+class MultiprocessorSimulator(AbstractSimulator):
     """Event-exact preemptive N-processor simulator.
 
     Scheduling points: every release, arrival and completion (no tick
@@ -106,68 +104,38 @@ class MultiprocessorSimulator:
             raise ValueError("n_cpus must be >= 1")
         if switch_penalty < 0:
             raise ValueError("switch_penalty must be non-negative")
-        self.taskset = taskset
-        self.n_cpus = n_cpus
         self.policy = policy
         self.switch_penalty = switch_penalty
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-
-        self.now = 0
         self.running: List[Optional[Job]] = [None] * n_cpus
         self.ready: List[Job] = []
         self.finished: List[Job] = []
-        self.context_switches = 0
-
         self._pending_releases: List[Job] = [
             Job(task, task.offset, index=0) for task in taskset.periodic
         ]
-        arrivals: List[Tuple[int, AperiodicTask]] = []
-        merged: Dict[str, List[int]] = {
-            task.name: list(task.arrivals) for task in taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
-            task = taskset.by_name(name)
-            if not isinstance(task, AperiodicTask):
-                raise TypeError(f"{name} is not an aperiodic task")
-            merged.setdefault(name, []).extend(times)
-        for name, times in merged.items():
-            task = taskset.by_name(name)
-            for time in times:
-                arrivals.append((time, task))
-        arrivals.sort(key=lambda item: item[0])
-        self._arrivals = arrivals
-        self._aper_index: Dict[str, int] = {}
+        super().__init__(taskset, n_cpus, aperiodic_arrivals, trace)
 
-    # ----------------------------------------------------------------- stepping
-    def _admit_due(self) -> bool:
+    # ------------------------------------------------------------ policy hooks
+    def _step(self) -> bool:
+        now, trace = self.now, self.trace
         dirty = False
         still: List[Job] = []
         for job in self._pending_releases:
-            if job.release <= self.now:
+            if job.release <= now:
                 self.ready.append(job)
-                self.trace.record(self.now, "release", job=job.name)
+                trace.record(now, "release", job=job.name)
                 dirty = True
             else:
                 still.append(job)
         self._pending_releases = still
-        while self._arrivals and self._arrivals[0][0] <= self.now:
-            _t, task = self._arrivals.pop(0)
-            index = self._aper_index.get(task.name, 0)
-            self._aper_index[task.name] = index + 1
-            job = Job(task, release=self.now, index=index)
+        for job in self._arrive():
             self.ready.append(job)
-            self.trace.record(self.now, "release", job=job.name, info="aperiodic")
             dirty = True
-        return dirty
-
-    def _complete_due(self) -> bool:
-        dirty = False
         for cpu, job in enumerate(self.running):
             if job is not None and job.remaining == 0:
                 self.running[cpu] = None
-                job.record_finish(self.now)
+                job.record_finish(now)
                 self.finished.append(job)
-                self.trace.record(self.now, "finish", job=job.name, cpu=cpu)
+                trace.record(now, "finish", job=job.name, cpu=cpu)
                 if job.is_periodic:
                     self._pending_releases.append(
                         Job(job.task, job.release + job.task.period, index=job.index + 1)
@@ -177,11 +145,8 @@ class MultiprocessorSimulator:
 
     def _schedule(self) -> None:
         """Recompute the assignment greedily by policy key."""
-        pool = list(self.ready)
         previous = list(self.running)
-        for job in previous:
-            if job is not None:
-                pool.append(job)
+        pool = self.ready + [job for job in previous if job is not None]
         pool.sort(key=lambda job: self.policy.job_key(job, self.now), reverse=True)
 
         assignment: List[Optional[Job]] = [None] * self.n_cpus
@@ -196,7 +161,7 @@ class MultiprocessorSimulator:
                     assignment[pinned] = job
                     free.remove(pinned)
                 continue
-            deferred.append((job, self._cpu_of(job, previous)))
+            deferred.append((job, previous.index(job) if job in previous else None))
 
         # Global jobs: prefer their previous cpu, then any free one.
         rest: List[Job] = []
@@ -212,13 +177,11 @@ class MultiprocessorSimulator:
             assignment[free.pop()] = job
 
         # Apply the diff.
-        placed = {id(j) for j in assignment if j is not None}
         for cpu, job in enumerate(previous):
-            if job is not None and id(job) not in placed and job.remaining > 0:
+            if job is not None and job not in assignment and job.remaining > 0:
                 job.record_preemption()
                 self.trace.record(self.now, "preempt", job=job.name, cpu=cpu)
-                if job not in self.ready:
-                    self.ready.append(job)
+                self.ready.append(job)  # running jobs are never in ``ready``
         for cpu, job in enumerate(assignment):
             if job is None:
                 continue
@@ -232,40 +195,15 @@ class MultiprocessorSimulator:
                 self.trace.record(self.now, "dispatch", job=job.name, cpu=cpu)
         self.running = assignment
 
-    def _cpu_of(self, job: Job, previous: Sequence[Optional[Job]]) -> Optional[int]:
-        for cpu, prev in enumerate(previous):
-            if prev is job:
-                return cpu
-        return None
+    def _wakeups(self) -> List[int]:
+        return [job.release for job in self._pending_releases if job.release > self.now]
 
-    # --------------------------------------------------------------------- run
-    def run(self, until: int) -> List[Job]:
-        """Simulate up to ``until``; returns finished jobs."""
-        while self.now < until:
-            dirty = self._admit_due()
-            dirty |= self._complete_due()
-            if dirty:
-                self._schedule()
+    def _running(self) -> List[Optional[Job]]:
+        return self.running
 
-            candidates: List[int] = []
-            candidates.extend(
-                job.release for job in self._pending_releases if job.release > self.now
-            )
-            if self._arrivals:
-                candidates.append(self._arrivals[0][0])
-            for job in self.running:
-                if job is not None:
-                    candidates.append(self.now + job.remaining)
-            if not candidates:
-                break
-            next_time = min(min(candidates), until)
-            if next_time <= self.now:
-                break
-            delta = next_time - self.now
-            for job in self.running:
-                if job is not None:
-                    job.remaining -= delta
-            self.now = next_time
+    # ----------------------------------------------------------------- queries
+    @property
+    def finished_jobs(self) -> List[Job]:
         return self.finished
 
     def deadline_misses(self) -> List[Job]:

@@ -18,7 +18,7 @@ Python.  ``scale=1`` runs the full-size system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import TICK
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
@@ -26,6 +26,7 @@ from repro.hw.microblaze import ExecutionProfile
 from repro.hw.soc import SoC, SoCConfig
 from repro.kernel.costs import KernelCosts
 from repro.kernel.microkernel import DualPriorityMicrokernel, TaskBinding
+from repro.simulators.abstract import merge_arrivals
 from repro.trace.recorder import TraceRecorder
 
 
@@ -178,11 +179,10 @@ class PrototypeSimulator:
             recovery=recovery,
         )
 
-        merged: Dict[str, List[int]] = {
-            task.name: [a for a in task.arrivals] for task in self.taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
-            merged.setdefault(name, []).extend(t // config.scale for t in times)
+        merged = merge_arrivals(self.taskset, {
+            name: [t // config.scale for t in times]
+            for name, times in (aperiodic_arrivals or {}).items()
+        })
         for name, times in merged.items():
             if not times:
                 continue

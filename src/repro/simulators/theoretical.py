@@ -15,14 +15,15 @@ inflation of execution times by ``overhead`` (2 % by default).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.mpdp import Allocation, MPDPScheduler
-from repro.core.task import AperiodicTask, Job, TaskSet
+from repro.core.mpdp import MPDPScheduler
+from repro.core.task import Job, TaskSet
+from repro.simulators.abstract import AbstractSimulator
 from repro.trace.recorder import TraceRecorder
 
 
-class TheoreticalSimulator:
+class TheoreticalSimulator(AbstractSimulator):
     """Event-driven MPDP with idealised hardware.
 
     Parameters
@@ -55,78 +56,43 @@ class TheoreticalSimulator:
             raise ValueError("tick must be positive")
         if overhead < 0:
             raise ValueError("overhead must be non-negative")
-        self.taskset = taskset
-        self.n_cpus = n_cpus
         self.tick = tick
         self.overhead = overhead
         self.policy = MPDPScheduler(taskset, n_cpus, promotion_granularity="tick")
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.now = 0
-        self.context_switches = 0
         self.scheduling_cycles = 0
-        self._inflated: set = set()
+        self._next_tick = 0  # scheduling cycles fall on multiples of ``tick``
+        super().__init__(taskset, n_cpus, aperiodic_arrivals, trace)
 
-        arrivals: List[Tuple[int, AperiodicTask]] = []
-        merged: Dict[str, List[int]] = {
-            task.name: list(task.arrivals) for task in taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
-            task = taskset.by_name(name)
-            if not isinstance(task, AperiodicTask):
-                raise TypeError(f"{name} is not an aperiodic task")
-            merged.setdefault(name, []).extend(times)
-        for name, times in merged.items():
-            task = taskset.by_name(name)
-            for time in times:
-                arrivals.append((time, task))
-        arrivals.sort(key=lambda item: item[0])
-        self._arrivals = arrivals
-        self._aper_index: Dict[str, int] = {}
-
-    # -------------------------------------------------------------- inflation
     def _inflate(self, job: Job) -> None:
-        """Apply the uniform overhead to a job exactly once."""
-        if job.uid in self._inflated:
-            return
-        self._inflated.add(job.uid)
+        """Apply the uniform overhead (once per job: at release or arrival)."""
         job.remaining = int(round(job.remaining * (1.0 + self.overhead)))
 
-    # ------------------------------------------------------------------- events
-    def _process_tick(self) -> bool:
-        released = self.policy.release_due(self.now)
-        for job in released:
-            self._inflate(job)
-            self.trace.record(self.now, "release", job=job.name)
-        promoted = self.policy.promote_due(self.now)
-        for job in promoted:
-            self.trace.record(self.now, "promote", job=job.name)
-        self.scheduling_cycles += 1
-        self.trace.record(self.now, "tick")
-        return True
-
-    def _process_arrivals(self) -> bool:
+    # ------------------------------------------------------------ policy hooks
+    def _step(self) -> bool:
+        now, policy, trace = self.now, self.policy, self.trace
         dirty = False
-        while self._arrivals and self._arrivals[0][0] <= self.now:
-            _time, task = self._arrivals.pop(0)
-            index = self._aper_index.get(task.name, 0)
-            self._aper_index[task.name] = index + 1
-            job = Job(task, release=self.now, index=index)
-            self._inflate(job)
-            self.policy.add_aperiodic(job)
-            self.trace.record(self.now, "release", job=job.name, info="aperiodic")
+        if now == self._next_tick:
+            for job in policy.release_due(now):
+                self._inflate(job)
+                trace.record(now, "release", job=job.name)
+            for job in policy.promote_due(now):
+                trace.record(now, "promote", job=job.name)
+            self.scheduling_cycles += 1
+            trace.record(now, "tick")
+            self._next_tick += self.tick
             dirty = True
-        return dirty
-
-    def _process_completions(self) -> bool:
-        dirty = False
-        for cpu, job in enumerate(list(self.policy.running)):
+        for job in self._arrive():
+            self._inflate(job)
+            policy.add_aperiodic(job)
+            dirty = True
+        for cpu, job in enumerate(list(policy.running)):
             if job is not None and job.remaining == 0:
-                self.policy.job_finished(job, self.now)
-                self.trace.record(self.now, "finish", job=job.name, cpu=cpu)
+                policy.job_finished(job, now)
+                trace.record(now, "finish", job=job.name, cpu=cpu)
                 dirty = True
         return dirty
 
-    def _allocate(self) -> None:
+    def _schedule(self) -> None:
         previous = list(self.policy.running)
         allocation = self.policy.allocate(self.now)
         self.context_switches += len(allocation.switches)
@@ -140,45 +106,11 @@ class TheoreticalSimulator:
             else:
                 self.trace.record(self.now, "idle", cpu=cpu)
 
-    # --------------------------------------------------------------------- run
-    def run(self, until: int) -> List[Job]:
-        """Simulate to ``until``; returns the finished jobs."""
-        next_tick = self.now  # first scheduling cycle at start
-        while self.now < until:
-            dirty = False
-            if self.now == next_tick:
-                dirty |= self._process_tick()
-                next_tick += self.tick
-            dirty |= self._process_arrivals()
-            dirty |= self._process_completions()
-            if dirty:
-                self._allocate()
+    def _wakeups(self) -> List[int]:
+        return [self._next_tick]
 
-            # Next event: tick, arrival, or earliest completion.
-            candidates = [next_tick]
-            if self._arrivals:
-                candidates.append(self._arrivals[0][0])
-            for job in self.policy.running:
-                if job is not None:
-                    candidates.append(self.now + job.remaining)
-            next_time = min(candidates)
-            next_time = min(next_time, until)
-            if next_time <= self.now:
-                # Guard against zero-length steps (all events processed).
-                next_time = min(c for c in candidates if c > self.now) if any(
-                    c > self.now for c in candidates
-                ) else until
-                next_time = min(next_time, until)
-                if next_time <= self.now:
-                    break
-            delta = next_time - self.now
-            for job in self.policy.running:
-                if job is not None:
-                    if job.remaining < delta:  # pragma: no cover - defensive
-                        raise RuntimeError("missed a completion event")
-                    job.remaining -= delta
-            self.now = next_time
-        return self.policy.finished_jobs
+    def _running(self) -> List[Optional[Job]]:
+        return self.policy.running
 
     # ----------------------------------------------------------------- queries
     @property

@@ -46,6 +46,7 @@ from repro.kernel.context import BURST_WORDS
 from repro.kernel.costs import KernelCosts
 from repro.kernel.microkernel import TaskBinding
 from repro.sim.engine import Simulator
+from repro.simulators.abstract import merge_arrivals
 from repro.trace.recorder import TraceRecorder
 
 __all__ = [
@@ -278,14 +279,7 @@ class TLMSimulator:
             ).set(table.residual)
 
         # Aperiodic arrivals at exact instants through the event queue.
-        merged: Dict[str, List[int]] = {
-            task.name: list(task.arrivals) for task in taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
-            task = taskset.by_name(name)
-            if not isinstance(task, AperiodicTask):
-                raise TypeError(f"{name} is not an aperiodic task")
-            merged.setdefault(name, []).extend(times)
+        merged = merge_arrivals(taskset, aperiodic_arrivals)
         for name in sorted(merged):
             task = taskset.by_name(name)
             for time in sorted(merged[name]):

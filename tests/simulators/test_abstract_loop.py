@@ -66,20 +66,22 @@ def workload(n_cpus, seed):
     return tasks, extra
 
 
-def simulate(loop, n_cpus, seed):
+def simulate(loop, n_cpus, seed, stops=(HORIZON,)):
     tasks, extra = workload(n_cpus, seed)
     trace = TraceRecorder()
     kind, _, knob = loop.rpartition("@")
     if kind == "theoretical":
         sim = TheoreticalSimulator(tasks, n_cpus, tick=TICK, overhead=float(knob),
                                    aperiodic_arrivals=extra, trace=trace)
-        sim.run(HORIZON)
+        for stop in stops:
+            sim.run(stop)
         finished, counters = sim.finished_jobs, sim.stats()
     else:
         sim = MultiprocessorSimulator(tasks, n_cpus, BASELINES[kind](),
                                       aperiodic_arrivals=extra,
                                       switch_penalty=int(knob), trace=trace)
-        sim.run(HORIZON)
+        for stop in stops:
+            sim.run(stop)
         finished, counters = sim.finished, sim.context_switches
     jobs = [(job.name, job.index, job.release, job.finish_time, job.preemptions,
              job.migrations, job.cpu) for job in finished]
@@ -97,3 +99,12 @@ def digest(loop):
 @pytest.mark.parametrize("loop", sorted(GOLDEN))
 def test_loop_matches_golden(loop):
     assert digest(loop) == GOLDEN[loop], f"the {loop} loop diverged from its golden run"
+
+
+@pytest.mark.parametrize("loop", sorted(GOLDEN))
+@pytest.mark.parametrize("seed", range(3))
+def test_run_resumes_where_it_stopped(loop, seed):
+    """``run(a); run(b)`` equals ``run(b)``: stopping mid-tick must not
+    re-anchor the theoretical simulator's tick grid."""
+    split = simulate(loop, 2, seed, stops=(1_055_000, HORIZON))
+    assert split == simulate(loop, 2, seed), f"the {loop} loop does not resume"
