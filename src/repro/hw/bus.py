@@ -6,10 +6,14 @@ exactly the contention the paper measures against the theoretical
 simulator.  Masters are granted in fixed priority order (lower cpu id
 wins), FIFO among equal priorities.
 
-Two usage styles:
+Three usage styles:
 
 - ``yield from bus.transfer(master, target, words)`` inside a
   :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated.
+- ``yield from bus.burst(master, target, n, words)`` -- ``n``
+  back-to-back transfers, exactly as ``n`` ``transfer`` calls would
+  run them, but the transfers no other event can observe (see
+  :meth:`OPBBus.burst`) cost one sleep instead of one arbitration each.
 - ``bus.stats`` exposes utilization counters that the analytic
   contention model (:func:`analytic_txn_waits`, below) is calibrated
   against.
@@ -82,29 +86,57 @@ class OPBBus:
         Yields inside a Process.  Returns the total cycles spent
         (waiting + transferring) so callers can account time.
         """
-        start = self.sim.now
-        request = self._arbiter.request(priority=master)
-        try:
-            yield request
-            waited = self.sim.now - start
-            latency = target.access_latency(words)
-            yield self.sim.timeout(latency)
-        finally:
-            # An interrupt thrown into the caller mid-transaction must
-            # not leave the bus granted forever; the abandoned cycles
-            # are charged to the interrupt latency instead.
-            self._arbiter.release(request)
+        return self.burst(master, target, 1, words)
 
-        self.stats.busy_cycles += latency
-        self.stats.transactions += 1
-        self.stats.wait_cycles[master] = self.stats.wait_cycles.get(master, 0) + waited
-        self.stats.transfer_cycles[master] = (
-            self.stats.transfer_cycles.get(master, 0) + 1
-        )
-        self.stats.per_target[target.name] = (
-            self.stats.per_target.get(target.name, 0) + latency
-        )
-        return waited + latency
+    def burst(self, master: int, target: BusTarget, n: int, words: int = 1):
+        """Generator: ``n`` back-to-back transfers of ``words`` each.
+
+        Same schedule, ``BusStats`` and arbiter grant count as ``n``
+        consecutive :meth:`transfer` calls, and the same return value:
+        the total cycles spent waiting plus transferring.  After each
+        grant, the next ``k`` transfers fold into one
+        ``k * latency`` sleep when the quiet-window rule holds: no
+        other master is queued on the arbiter, and the ``k``-th
+        transfer ends before anything else fires
+        (:meth:`~repro.sim.engine.Simulator.quiet_span`).  Inside such
+        a window no other callback runs, so no interrupt, stall or
+        competing request can observe the fold; the re-requests it
+        skips would each have been granted at once, with zero wait.
+        Otherwise ``k = 1``: one request, grant, timeout and release.
+        """
+        sim = self.sim
+        arbiter = self._arbiter
+        stats = self.stats
+        spent = 0
+        while n > 0:
+            start = sim.now
+            request = arbiter.request(priority=master)
+            try:
+                yield request
+                waited = sim.now - start
+                latency = target.access_latency(words)
+                k = 1
+                if n > 1 and not arbiter.queue_length:
+                    quiet = sim.quiet_span()
+                    if quiet >= 2 * latency:
+                        k = n if quiet >= n * latency else int(quiet // latency)
+                yield sim.timeout(k * latency)
+            finally:
+                # An interrupt thrown into the caller mid-transaction must
+                # not leave the bus granted forever; the abandoned cycles
+                # are charged to the interrupt latency instead.
+                arbiter.release(request)
+
+            arbiter.grant_count += k - 1
+            busy = k * latency
+            stats.busy_cycles += busy
+            stats.transactions += k
+            stats.wait_cycles[master] = stats.wait_cycles.get(master, 0) + waited
+            stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + k
+            stats.per_target[target.name] = stats.per_target.get(target.name, 0) + busy
+            spent += waited + busy
+            n -= k
+        return spent
 
     #: Arbitration priority of injected stalls: beats every real master
     #: (lower wins), modelling a glitching device that hogs grant.

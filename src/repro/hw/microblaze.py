@@ -258,10 +258,9 @@ class MicroBlaze:
             try:
                 if local:
                     yield self.sim.timeout(local)
-                for _ in range(n_txn):
-                    yield from self.bus.transfer(
-                        self.cpu_id, self.ddr, profile.access_words
-                    )
+                yield from self.bus.burst(
+                    self.cpu_id, self.ddr, n_txn, profile.access_words
+                )
             except BaseException:
                 # Interrupted mid-chunk: credit the nominal progress the
                 # elapsed time represents (a real core loses only the

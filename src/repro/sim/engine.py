@@ -24,6 +24,11 @@ Two interchangeable queue implementations back the loop:
   tie-breaks.  Kept as the reference implementation; the determinism
   sentinel in ``repro-perf --self-check`` replays identical workloads
   on both queues and requires bit-for-bit identical schedules.
+
+:meth:`Simulator.quiet_span` lets a model fold work nothing else can
+observe into one sleep: a timeout that ends strictly before the next
+queued instant, and no later than the running ``run(until)`` limit, is
+the next entry to fire, so no other callback runs while it sleeps.
 """
 
 from __future__ import annotations
@@ -88,6 +93,10 @@ class Simulator:
         self.now: int = 0
         self._eid = 0
         self._stopped = False
+        # The running ``run(until)`` limit (inf for an open run); -1
+        # outside ``run()``, so ``quiet_span`` grants no sleep to
+        # callers stepping the queue by hand.
+        self._until: float = -1
         if kind == "heap":
             self._heap: List[tuple] = []
             self._push = self._push_heap
@@ -251,17 +260,45 @@ class Simulator:
 
         This is the instant an idle system fast-forwards to: callers
         modelling quiescent hardware (all cores parked on interrupt
-        lines) can observe how far the clock will jump.
+        lines) can observe how far the clock will jump.  Exact from
+        inside a callback too, including the last one of an instant.
         """
         if self.queue_kind == "heap":
             return self._heap[0][0] if self._heap else None
         nbt = self._next_bt
+        if nbt is not None and not self._buckets[nbt & _MASK]:
+            # The loop refreshes the cached minimum only after the
+            # callback draining a bucket returns; refresh it now.
+            idx = nbt & _MASK
+            self._occ[idx >> 6] &= ~(1 << (idx & 63))
+            nbt = self._next_bt = (
+                self._scan_bucket_time() if self._bucket_count else None
+            )
         far = self._far
         if far:
             ft = far[0][0]
             if nbt is None or ft < nbt:
                 return ft
         return nbt
+
+    def quiet_span(self) -> float:
+        """The longest sleep, in cycles, that ends before anything else fires.
+
+        A timeout of at most this many cycles, pushed now, ends strictly
+        before the next queued instant and no later than the running
+        ``run(until)`` limit: it is the next entry to fire, and no other
+        callback runs while it sleeps.  ``inf`` when the queue is empty
+        in an open-ended run; negative when no sleep is quiet (another
+        entry is due now, the loop is stopping, or ``run()`` is not
+        running).
+        """
+        if self._stopped:
+            return -1
+        limit = self._until
+        nxt = self.next_event_time()
+        if nxt is not None and nxt - 1 < limit:
+            limit = nxt - 1
+        return limit - self.now
 
     def step(self) -> None:
         """Process the single next queue entry, advancing ``now``."""
@@ -284,10 +321,14 @@ class Simulator:
         even if no event is scheduled there, so back-to-back ``run``
         calls compose predictably.
         """
-        if self.queue_kind == "heap":
-            self._run_heap(until)
-        else:
-            self._run_bucket(until)
+        self._until = _INF if until is None else until
+        try:
+            if self.queue_kind == "heap":
+                self._run_heap(until)
+            else:
+                self._run_bucket(until)
+        finally:
+            self._until = -1
 
     def _run_heap(self, until: Optional[int]) -> None:
         self._stopped = False
@@ -364,7 +405,7 @@ class Simulator:
                         item()
                     if self._stopped:
                         break
-                if not bucket:
+                if not bucket and self._next_bt == t:  # else already refreshed
                     occ[idx >> 6] &= ~(1 << (idx & 63))
                     self._next_bt = (
                         self._scan_bucket_time() if self._bucket_count else None

@@ -9,10 +9,11 @@ crossbar message channels).
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 
 class Request(Event):
@@ -20,12 +21,31 @@ class Request(Event):
 
     Fires when the resource is granted.  Must be released via
     ``resource.release(request)`` (or used as a context token).
+    ``requested_at`` is the cycle the request was made, from which the
+    grant computes the wait.
+
+    One request is allocated per arbitrated bus transfer, so, like
+    :class:`~repro.sim.events.Timeout`, the class is slotted, inlines
+    the :class:`Event` set-up and derives its ``repr`` label lazily.
     """
 
+    __slots__ = ("resource", "priority", "requested_at")
+
     def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.sim, name=f"Request({resource.name})")
+        sim = resource.sim
+        self.sim = sim
+        self.name = None
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = PENDING
         self.resource = resource
         self.priority = priority
+        self.requested_at = sim.now
+
+    def __repr__(self) -> str:
+        label = self.name or f"Request({self.resource.name})"
+        return f"<{label} state={self._state}>"
 
     def release(self) -> None:
         """Give the resource back."""
@@ -45,13 +65,11 @@ class Resource:
         self._waiting: Deque[Request] = deque()
         self.grant_count = 0
         self.wait_cycles_total = 0
-        self._request_times = {}
 
     # -- public API -----------------------------------------------------------
     def request(self, priority: int = 0) -> Request:
         """Ask for the resource; the returned event fires when granted."""
         req = Request(self, priority=priority)
-        self._request_times[id(req)] = self.sim.now
         self._enqueue(req)
         self._grant()
         return req
@@ -94,8 +112,7 @@ class Resource:
                 return
             self.users.append(req)
             self.grant_count += 1
-            started = self._request_times.pop(id(req), self.sim.now)
-            self.wait_cycles_total += self.sim.now - started
+            self.wait_cycles_total += self.sim.now - req.requested_at
             req.succeed(self)
 
 
@@ -104,7 +121,7 @@ class PriorityResource(Resource):
 
     This matches a fixed-priority bus arbiter: the pending master with
     the numerically lowest priority value is granted first, FIFO among
-    equals.
+    equals.  The wait queue is a heap on ``(priority, arrival)``.
     """
 
     def __init__(self, sim, capacity: int = 1, name: str = "priority-resource"):
@@ -114,14 +131,12 @@ class PriorityResource(Resource):
 
     def _enqueue(self, req: Request) -> None:
         self._counter += 1
-        self._pq.append((req.priority, self._counter, req))
-        self._pq.sort(key=lambda item: (item[0], item[1]))
+        heapq.heappush(self._pq, (req.priority, self._counter, req))
 
     def _next(self) -> Optional[Request]:
         if not self._pq:
             return None
-        _prio, _order, req = self._pq.pop(0)
-        return req
+        return heapq.heappop(self._pq)[2]
 
     @property
     def queue_length(self) -> int:
@@ -134,6 +149,7 @@ class PriorityResource(Resource):
             for i, (_p, _o, r) in enumerate(self._pq):
                 if r is request:
                     del self._pq[i]
+                    heapq.heapify(self._pq)
                     break
             else:
                 raise RuntimeError("release of a request this resource never saw")

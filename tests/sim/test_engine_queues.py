@@ -80,6 +80,35 @@ def test_next_event_time_reports_earliest(sim):
     assert sim.next_event_time() is None
 
 
+def test_next_event_time_exact_from_last_callback_of_an_instant(sim):
+    """The bucket queue refreshes its cached minimum only after an
+    instant's bucket drains; a peek from that instant's last callback
+    must still see the next instant, not ``now``."""
+    seen = []
+    sim.schedule(5, lambda: seen.append((sim.now, sim.next_event_time())))
+    sim.schedule(9, lambda: seen.append((sim.now, sim.next_event_time())))
+    sim.schedule(5, lambda: seen.append((sim.now, sim.next_event_time())))
+    sim.run()
+    assert seen == [(5, 5), (5, 9), (9, None)]
+
+
+def test_quiet_span(sim):
+    """Longest sleep that ends strictly before the next instant and no
+    later than the run's limit; none outside run() or with an entry due
+    now."""
+    spans = []
+    sim.schedule(5, lambda: spans.append(sim.quiet_span()))
+    sim.schedule(5, lambda: spans.append(sim.quiet_span()))
+    sim.schedule(40, lambda: spans.append(sim.quiet_span()))
+    assert sim.quiet_span() < 0
+    sim.run(until=20)
+    sim.run()
+    assert spans == [-1, 15, float("inf")]
+    sim.schedule(5, lambda: spans.append(sim.quiet_span()))
+    sim.run(until=sim.now + 30)
+    assert spans[-1] == 25
+
+
 def test_stop_then_resume_preserves_remaining_events(sim):
     fired = []
     sim.schedule(1, lambda: (fired.append(1), sim.stop()))
