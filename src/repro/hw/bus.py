@@ -12,8 +12,10 @@ Three usage styles:
   :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated.
 - ``yield from bus.burst(master, target, n, words)`` -- ``n``
   back-to-back transfers, exactly as ``n`` ``transfer`` calls would
-  run them, but the transfers no other event can observe (see
-  :meth:`OPBBus.burst`) cost one sleep instead of one arbitration each.
+  run them.  The transfers no other event can observe, this master's
+  and those of every other bursting master it contends with, are
+  resolved at a grant by replaying the arbiter (see
+  :meth:`OPBBus.burst`) instead of costing one arbitration each.
 - ``bus.stats`` exposes utilization counters that the analytic
   contention model (:func:`analytic_txn_waits`, below) is calibrated
   against.
@@ -91,52 +93,85 @@ class OPBBus:
     def burst(self, master: int, target: BusTarget, n: int, words: int = 1):
         """Generator: ``n`` back-to-back transfers of ``words`` each.
 
-        Same schedule, ``BusStats`` and arbiter grant count as ``n``
+        Same schedule, ``BusStats`` and arbiter state as ``n``
         consecutive :meth:`transfer` calls, and the same return value:
-        the total cycles spent waiting plus transferring.  After each
-        grant, the next ``k`` transfers fold into one
-        ``k * latency`` sleep when the quiet-window rule holds: no
-        other master is queued on the arbiter, and the ``k``-th
-        transfer ends before anything else fires
-        (:meth:`~repro.sim.engine.Simulator.quiet_span`).  Inside such
-        a window no other callback runs, so no interrupt, stall or
-        competing request can observe the fold; the re-requests it
-        skips would each have been granted at once, with zero wait.
-        Otherwise ``k = 1``: one request, grant, timeout and release.
+        the total cycles spent waiting plus transferring.  The arbiter
+        request repeats (:class:`~repro.sim.resources.Request`), so at a
+        grant the arbiter can replay the grant sequence among all
+        bursting masters (:meth:`PriorityResource.replay
+        <repro.sim.resources.PriorityResource.replay>`) under the
+        quiet-window rule: every queued request is another burst's, and
+        each resolved transfer ends before anything else fires
+        (:meth:`~repro.sim.engine.Simulator.quiet_span`).  No other
+        callback runs inside such a window, so nothing can observe the
+        fold.  The transfers it completes are booked at once; the first
+        one it leaves open is a real sleep, by this master or, after a
+        hand-over, by the master granted instead, while this one queues
+        for its next grant.  Otherwise each transfer is one request,
+        grant, timeout and release.
         """
+        if n <= 0:
+            return 0
         sim = self.sim
         arbiter = self._arbiter
         stats = self.stats
-        spent = 0
-        while n > 0:
-            start = sim.now
-            request = arbiter.request(priority=master)
-            try:
+        latency = target.access_latency(words)
+        name = target.name
+        begin = sim.now
+        request = arbiter.request(master, n, latency, name)
+        try:
+            while True:
                 yield request
-                waited = sim.now - start
-                latency = target.access_latency(words)
-                k = 1
-                if n > 1 and not arbiter.queue_length:
+                grant = sim.now
+                if request.count > 1:
                     quiet = sim.quiet_span()
-                    if quiet >= 2 * latency:
-                        k = n if quiet >= n * latency else int(quiet // latency)
-                yield sim.timeout(k * latency)
-            finally:
-                # An interrupt thrown into the caller mid-transaction must
-                # not leave the bus granted forever; the abandoned cycles
-                # are charged to the interrupt latency instead.
+                    if quiet >= latency:
+                        grant = self._fold(request, grant + quiet)
+                        if not request.triggered:
+                            continue  # handed over: queued for the next grant
+                yield sim.timeout(grant + latency - sim.now)
+                waited = grant - request.requested_at
                 arbiter.release(request)
+                stats.busy_cycles += latency
+                stats.transactions += 1
+                stats.wait_cycles[master] = stats.wait_cycles.get(master, 0) + waited
+                stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + 1
+                stats.per_target[name] = stats.per_target.get(name, 0) + latency
+                if request.count == 1:
+                    return sim.now - begin
+                request = arbiter.request(master, request.count - 1, latency, name)
+        except BaseException:
+            # An interrupt thrown into the caller mid-transaction must
+            # not leave the bus granted (or queued) forever; the
+            # abandoned cycles are charged to the interrupt latency.
+            arbiter.release(request)
+            raise
 
-            arbiter.grant_count += k - 1
-            busy = k * latency
-            stats.busy_cycles += busy
-            stats.transactions += k
-            stats.wait_cycles[master] = stats.wait_cycles.get(master, 0) + waited
-            stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + k
-            stats.per_target[target.name] = stats.per_target.get(target.name, 0) + busy
-            spent += waited + busy
-            n -= k
-        return spent
+    def _fold(self, request, limit) -> int:
+        """Replay the arbiter from ``request``'s grant up to ``limit``.
+
+        Books every transfer the replay completes and returns the
+        instant of the last grant it resolved (now, if it resolved
+        none).
+        """
+        folded = self._arbiter.replay(request, limit)
+        if folded is None:
+            return self.sim.now
+        grant, start = folded
+        stats = self.stats
+        for req, count, requested_at in start:
+            k = count - req.count
+            if k:
+                master, busy = req.priority, k * req.hold
+                # Each re-request was made at the previous release, so
+                # the waits are the elapsed time less the holding time.
+                waited = req.requested_at - requested_at - busy
+                stats.busy_cycles += busy
+                stats.transactions += k
+                stats.wait_cycles[master] = stats.wait_cycles.get(master, 0) + waited
+                stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + k
+                stats.per_target[req.tag] = stats.per_target.get(req.tag, 0) + busy
+        return grant
 
     #: Arbitration priority of injected stalls: beats every real master
     #: (lower wins), modelling a glitching device that hogs grant.

@@ -44,6 +44,15 @@ class TaskContext:
         return self.regfile_words + self.stack_words
 
 
+def stream(core: MicroBlaze, words: int):
+    """Generator: move ``words`` words between ``core`` and DDR as
+    :data:`BURST_WORDS`-word transfers, the last one shorter if need be."""
+    full, tail = divmod(words, BURST_WORDS)
+    yield from core.bus.burst(core.cpu_id, core.ddr, full, BURST_WORDS)
+    if tail > 0:
+        yield from core.bus.transfer(core.cpu_id, core.ddr, tail)
+
+
 class ContextSwitchEngine:
     """Performs the save/restore traffic for one core.
 
@@ -82,19 +91,11 @@ class ContextSwitchEngine:
             )
         return self.contexts[task_name]
 
-    def _stream(self, words: int):
-        """Generator: move ``words`` words over the bus in bursts."""
-        remaining = words
-        while remaining > 0:
-            burst = min(BURST_WORDS, remaining)
-            yield from self.core.bus.transfer(self.core.cpu_id, self.core.ddr, burst)
-            remaining -= burst
-
     def save(self, context: TaskContext):
         """Generator: save register file + stack to shared memory."""
         start = self.core.sim.now
         yield self.core.sim.timeout(self.primitive_overhead)
-        yield from self._stream(context.total_words)
+        yield from stream(self.core, context.total_words)
         context.saved = True
         context.save_count += 1
         self.saves += 1
@@ -104,7 +105,7 @@ class ContextSwitchEngine:
         """Generator: load register file, relocate stack to local BRAM."""
         start = self.core.sim.now
         yield self.core.sim.timeout(self.primitive_overhead)
-        yield from self._stream(context.total_words)
+        yield from stream(self.core, context.total_words)
         context.restore_count += 1
         self.restores += 1
         self.cycles_spent += self.core.sim.now - start

@@ -24,14 +24,22 @@ class Request(Event):
     ``requested_at`` is the cycle the request was made, from which the
     grant computes the wait.
 
+    A *repeating* request announces ``count`` back-to-back grants of
+    ``hold`` cycles each: its requester re-requests the moment it
+    releases, until ``count`` grants have run
+    (:meth:`PriorityResource.replay` resolves such grant sequences
+    without events).  ``count`` 0 marks an ordinary request.  ``tag``
+    is an opaque label for the requester's own bookkeeping.
+
     One request is allocated per arbitrated bus transfer, so, like
     :class:`~repro.sim.events.Timeout`, the class is slotted, inlines
     the :class:`Event` set-up and derives its ``repr`` label lazily.
     """
 
-    __slots__ = ("resource", "priority", "requested_at")
+    __slots__ = ("resource", "priority", "requested_at", "count", "hold", "tag")
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource", priority: int = 0, count: int = 0,
+                 hold: int = 0, tag: Any = None):
         sim = resource.sim
         self.sim = sim
         self.name = None
@@ -42,6 +50,9 @@ class Request(Event):
         self.resource = resource
         self.priority = priority
         self.requested_at = sim.now
+        self.count = count
+        self.hold = hold
+        self.tag = tag
 
     def __repr__(self) -> str:
         label = self.name or f"Request({self.resource.name})"
@@ -67,9 +78,14 @@ class Resource:
         self.wait_cycles_total = 0
 
     # -- public API -----------------------------------------------------------
-    def request(self, priority: int = 0) -> Request:
-        """Ask for the resource; the returned event fires when granted."""
-        req = Request(self, priority=priority)
+    def request(self, priority: int = 0, count: int = 0, hold: int = 0,
+                tag: Any = None) -> Request:
+        """Ask for the resource; the returned event fires when granted.
+
+        ``count``, ``hold`` and ``tag`` describe a repeating request
+        (see :class:`Request`).
+        """
+        req = Request(self, priority, count, hold, tag)
         self._enqueue(req)
         self._grant()
         return req
@@ -154,6 +170,64 @@ class PriorityResource(Resource):
             else:
                 raise RuntimeError("release of a request this resource never saw")
         self._grant()
+
+    def replay(self, holder: Request, limit: float):
+        """Resolve the grants of repeating requests up to ``limit``, eventless.
+
+        ``holder`` was granted now (capacity 1).  At each release its
+        grants reach, the replay runs :meth:`release` then
+        :meth:`request`: the heap minimum is granted, then the releaser
+        re-enqueues with a fresh arrival (alone, it re-grants itself
+        with zero wait).  It stops before a release later than
+        ``limit`` and before the release of a holder's last grant.  The
+        caller guarantees that nothing else happens up to ``limit``.
+
+        Grants are booked now (``grant_count``, ``wait_cycles_total``,
+        each request's ``count`` and ``requested_at``), and ``users``,
+        the heap and the arrival counter end as the grant-by-grant run
+        leaves them.  After a hand-over, ``holder`` is queued again
+        (pending) and the new holder's grant is pushed at its instant,
+        the only queue entry there as nothing else is due by ``limit``.
+
+        Returns the last grant's instant and ``(request, count,
+        requested_at)`` per request as it was before, from which the
+        caller books completed grants; ``None``, resolving nothing,
+        when a queued request does not repeat.
+        """
+        pq = self._pq
+        start = [(holder, holder.count, holder.requested_at)]
+        for _p, _o, req in pq:
+            if req.count < 1:
+                return None
+            start.append((req, req.count, req.requested_at))
+        t = self.sim.now
+        counter = self._counter
+        held = holder
+        grants = waits = 0
+        heapreplace = heapq.heapreplace
+        while held.count > 1:
+            end = t + held.hold
+            if end > limit:
+                break
+            held.count -= 1
+            held.requested_at = t = end
+            counter += 1
+            grants += 1
+            if pq:
+                # Release then request: the heap minimum is granted
+                # before the releaser pushes itself back.
+                nxt = heapreplace(pq, (held.priority, counter, held))[2]
+                waits += t - nxt.requested_at
+                held = nxt
+        self._counter = counter
+        self.grant_count += grants
+        self.wait_cycles_total += waits
+        if held is not holder:
+            self.users[0] = held
+            holder._state = PENDING
+            held._value = self
+            self.sim._push(t, held)
+        return t, start
 
 
 class Store:

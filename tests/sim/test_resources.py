@@ -155,6 +155,49 @@ def test_resource_wait_accounting():
     assert res.wait_cycles_total == 10
 
 
+def _repeating_arbiter():
+    """A held repeating request and two queued ones, made at cycle 0."""
+    sim = Simulator()
+    res = PriorityResource(sim)
+    holder = res.request(1, 3, 5)
+    res.request(0, 2, 7)
+    res.request(2, 4, 3)
+    return sim, res, holder
+
+
+def _arbiter_state(res):
+    def key(req):
+        return req.priority, req.count, req.requested_at
+
+    return (key(res.users[0]), sorted((p, o, key(r)) for p, o, r in res._pq),
+            res._counter, res.grant_count, res.wait_cycles_total)
+
+
+@pytest.mark.parametrize("limit", [4, 5, 19, 24, 100])
+def test_priority_resource_replay_is_release_then_request(limit):
+    sim, res, holder = _repeating_arbiter()
+    res.replay(holder, limit)
+
+    # The same grants, one release and re-request at a time.
+    ref_sim, ref, held = _repeating_arbiter()
+    while held.count > 1 and ref_sim.now + held.hold <= limit:
+        ref_sim.now += held.hold
+        ref.release(held)
+        ref.request(held.priority, held.count - 1, held.hold)
+        held = ref.users[0]
+    assert _arbiter_state(res) == _arbiter_state(ref)
+    # A hand-over leaves the old holder queued and pending.
+    assert holder.triggered == (res.users[0] is holder)
+
+
+def test_priority_resource_replay_needs_every_queued_request_to_repeat():
+    sim = Simulator()
+    res = PriorityResource(sim)
+    holder = res.request(1, 3, 5)
+    res.request(-1)
+    assert res.replay(holder, 100) is None and holder.count == 3
+
+
 def test_store_put_then_get():
     sim = Simulator()
     store = Store(sim)
