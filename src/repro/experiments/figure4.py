@@ -22,21 +22,21 @@ from __future__ import annotations
 import argparse
 import functools
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import CLOCK_HZ, TICK, cycles_to_seconds
+from repro import TICK, cycles_to_seconds
+from repro.experiments.runner import _cached_pmap
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint, taskset_rows
 from repro.perf.executor import Telemetry, current_telemetry, pmap
-from repro.simulators.prototype import FIDELITIES, PrototypeConfig, PrototypeSimulator
-from repro.simulators.theoretical import TheoreticalSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators.ladder import FIDELITIES, run_rung
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
+    aperiodic_window,
     automotive_bindings,
-    build_automotive_taskset,
-    prepare_taskset,
+    automotive_cell,
 )
 
 #: The paper's slowdown matrix (real vs theoretical), (n_cpus, util) -> %.
@@ -108,59 +108,20 @@ def run_cell(
     self-comparison (slowdown ~0) and is mostly useful as a sanity
     anchor.
     """
-    if fidelity not in FIDELITIES:
-        raise ValueError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
-    taskset = build_automotive_taskset(utilization, n_cpus)
-    taskset = prepare_taskset(taskset, n_cpus, tick=TICK)
-
-    theo_samples: List[float] = []
-    real_samples: List[float] = []
+    taskset = automotive_cell(n_cpus, utilization)
+    bindings = automotive_bindings()
+    # The theoretical rung runs first in every phase; as the "real"
+    # column it is its own sample.
+    samples: Dict[str, List[float]] = {rung: [] for rung in ("theoretical", fidelity)}
     for arrival_s in arrival_phases_s:
-        arrival = int(arrival_s * CLOCK_HZ)
-        horizon = arrival + int(horizon_margin_s * CLOCK_HZ)
-        arrivals = {AUTOMOTIVE_APERIODIC: [arrival]}
+        arrivals, horizon = aperiodic_window(arrival_s, horizon_margin_s)
+        for rung, rung_samples in samples.items():
+            out = run_rung(rung, taskset, n_cpus, horizon, scale=scale,
+                           bindings=bindings, aperiodic_arrivals=arrivals)
+            rung_samples.append(out.mean_response(AUTOMOTIVE_APERIODIC))
 
-        theoretical = TheoreticalSimulator(
-            taskset, n_cpus, tick=TICK, overhead=0.02, aperiodic_arrivals=arrivals
-        )
-        theoretical.run(horizon)
-        theo_metrics = compute_metrics(theoretical.finished_jobs, horizon)
-        theo_samples.append(theo_metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-
-        if fidelity == "theoretical":
-            real_samples.append(theo_samples[-1])
-        elif fidelity == "tlm":
-            from repro.simulators.tlm import TLMSimulator
-
-            tlm = TLMSimulator(
-                taskset,
-                n_cpus,
-                tick=TICK,
-                bindings=automotive_bindings(),
-                aperiodic_arrivals=arrivals,
-            )
-            tlm.run(horizon)
-            tlm_metrics = compute_metrics(tlm.finished_jobs, horizon)
-            real_samples.append(tlm_metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-        else:
-            prototype = PrototypeSimulator(
-                taskset,
-                PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
-                bindings=automotive_bindings(),
-                aperiodic_arrivals=arrivals,
-            )
-            prototype.run(horizon)
-            proto_metrics = compute_metrics(
-                prototype.finished_jobs, horizon // scale
-            )
-            real_samples.append(
-                prototype.to_full_scale(
-                    int(proto_metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-                )
-            )
-
-    mean_theo = sum(theo_samples) / len(theo_samples)
-    mean_real = sum(real_samples) / len(real_samples)
+    mean_theo = sum(samples["theoretical"]) / len(samples["theoretical"])
+    mean_real = sum(samples[fidelity]) / len(samples[fidelity])
     return Figure4Cell(
         n_cpus=n_cpus,
         utilization=utilization,
@@ -173,12 +134,9 @@ def _cell_key(
     n_cpus: int, utilization: float, scale: int, fidelity: str = "prototype"
 ) -> str:
     """Content hash of everything a Figure 4 cell's result depends on."""
-    taskset = prepare_taskset(
-        build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
-    )
     return cache_key(
         kind="figure4-cell",
-        taskset=taskset_rows(taskset),
+        taskset=taskset_rows(automotive_cell(n_cpus, utilization)),
         n_cpus=n_cpus,
         utilization=utilization,
         scale=scale,
@@ -191,19 +149,20 @@ def _cell_key(
 
 def _run_cell_point(
     point: Tuple[int, float], scale: int, fidelity: str
-) -> Figure4Cell:
-    """Picklable per-cell worker body for the parallel sweep."""
+) -> Dict[str, float]:
+    """Picklable per-cell worker body for the parallel sweep; returns the
+    cell as the run cache stores it."""
     n_cpus, utilization = point
     telemetry = current_telemetry()
     if telemetry is None:
-        return run_cell(n_cpus, utilization, scale=scale, fidelity=fidelity)
+        return asdict(run_cell(n_cpus, utilization, scale=scale, fidelity=fidelity))
     with telemetry.spans.span("cell", n_cpus=n_cpus,
                               utilization=utilization, fidelity=fidelity):
         cell = run_cell(n_cpus, utilization, scale=scale, fidelity=fidelity)
     telemetry.metrics.counter(
         "sweep_cells_total", labels={"fidelity": fidelity},
         help="sweep cells evaluated (cache hits excluded)").inc()
-    return cell
+    return asdict(cell)
 
 
 def figure4_sweep(
@@ -233,53 +192,26 @@ def figure4_sweep(
     """
     started = time.perf_counter()
     points = [(n_cpus, u) for n_cpus in cpus for u in utilizations]
-    cells: List[Optional[Figure4Cell]] = [None] * len(points)
+    hits_before = cache.hits if cache is not None else 0
     # No execution-geometry attrs (worker count) on the sweep span: span
     # structure must not vary with parallelism.
-    sweep_ctx = (
-        telemetry.spans.span("sweep", tag="figure4", cells=len(points))
-        if telemetry is not None else None
-    )
-    if sweep_ctx is not None:
-        sweep_ctx.__enter__()
-    try:
-        pending = list(range(len(points)))
-        keys: List[Optional[str]] = [None] * len(points)
-        hits = 0
-        if cache is not None:
-            pending = []
-            for index, (n_cpus, utilization) in enumerate(points):
-                keys[index] = _cell_key(n_cpus, utilization, scale, fidelity)
-                hit, value = cache.lookup(keys[index])
-                if telemetry is not None:
-                    name = "cache_hit" if hit else "cache_miss"
-                    telemetry.spans.event(name, index=index,
-                                          key=keys[index][:16])
-                    telemetry.metrics.counter(
-                        "sweep_cache_lookups_total",
-                        labels={"outcome": name[6:]},
-                        help="run-cache lookups by outcome").inc()
-                if hit:
-                    cells[index] = Figure4Cell(**value)
-                    hits += 1
-                else:
-                    pending.append(index)
-        computed = pmap(
+    with (telemetry.spans.span("sweep", tag="figure4", cells=len(points))
+          if telemetry is not None else nullcontext()):
+        cells = [Figure4Cell(**value) for value in _cached_pmap(
             functools.partial(_run_cell_point, scale=scale, fidelity=fidelity),
-            [points[i] for i in pending],
+            points,
             max_workers=max_workers,
+            cache=cache,
+            keys=None if cache is None else [
+                _cell_key(n_cpus, u, scale, fidelity) for n_cpus, u in points
+            ],
             telemetry=telemetry,
-        )
-        for index, cell in zip(pending, computed):
-            cells[index] = cell
-            if cache is not None:
-                cache.put(keys[index], asdict(cell))
-    finally:
-        if sweep_ctx is not None:
-            sweep_ctx.__exit__(None, None, None)
+            map_fn=pmap,
+        )]
+    hits = cache.hits - hits_before if cache is not None else 0
     if ledger is not None:
         misses = len(points) - hits
-        slowdowns = [cell.slowdown_pct for cell in cells if cell is not None]
+        slowdowns = [cell.slowdown_pct for cell in cells]
         ledger.append(LedgerEntry(
             kind="figure4",
             label="figure4_sweep",

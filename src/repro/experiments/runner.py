@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro import CLOCK_HZ, TICK, cycles_to_seconds
+from repro import TICK, cycles_to_seconds
 from repro.hw.microblaze import ExecutionProfile
 from repro.kernel.costs import KernelCosts
 from repro.kernel.microkernel import TaskBinding
@@ -26,13 +26,12 @@ from repro.lint.tasks import check_taskset
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint
 from repro.perf.executor import Telemetry, current_telemetry, pmap
-from repro.simulators.prototype import FIDELITIES, PrototypeConfig, PrototypeSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators.ladder import FIDELITIES, Readout, make_simulator
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
+    aperiodic_window,
     automotive_bindings,
-    build_automotive_taskset,
-    prepare_taskset,
+    automotive_cell,
 )
 
 
@@ -177,7 +176,7 @@ def sweep(
     the measure's behaviour depends on state the point does not encode.
 
     ``fidelity`` picks a simulation rung
-    (:data:`repro.simulators.prototype.FIDELITIES`) for the whole
+    (:data:`repro.simulators.ladder.FIDELITIES`) for the whole
     sweep: it becomes a parameter column on every row -- and thereby
     part of every cell's cache key, so rungs never alias -- and is
     passed to ``measure`` as a keyword, which must accept it
@@ -296,12 +295,16 @@ def _cached_pmap(
     cache: Optional[RunCache] = None,
     keys: Optional[Sequence[str]] = None,
     telemetry: Optional[Telemetry] = None,
+    map_fn: Optional[Callable[..., List[Any]]] = None,
 ) -> List[Any]:
     """:func:`pmap` with a content-addressed cache in front.
 
     Cache hits are taken as-is; only misses are computed (in parallel
     when requested) and stored; the combined results come back in item
-    order, so cached and fresh runs interleave transparently.
+    order, so cached and fresh runs interleave transparently.  ``map_fn``
+    (default :func:`pmap`) is the map the misses go through: a caller
+    passes its own module's ``pmap``, so instrumentation that replaces
+    that name sees every call.
 
     With ``telemetry``, every lookup lands as a ``cache_hit`` /
     ``cache_miss`` event on the current span plus a labelled counter.
@@ -309,8 +312,9 @@ def _cached_pmap(
     so the event order is the item order either way -- part of the
     serial == parallel determinism contract.
     """
+    map_fn = map_fn or pmap
     if cache is None:
-        return pmap(fn, items, max_workers=max_workers, telemetry=telemetry)
+        return map_fn(fn, items, max_workers=max_workers, telemetry=telemetry)
     assert keys is not None and len(keys) == len(items)
     results: List[Any] = [None] * len(items)
     pending: List[int] = []
@@ -326,8 +330,8 @@ def _cached_pmap(
             results[index] = value
         else:
             pending.append(index)
-    computed = pmap(fn, [items[i] for i in pending], max_workers=max_workers,
-                    telemetry=telemetry)
+    computed = map_fn(fn, [items[i] for i in pending], max_workers=max_workers,
+                      telemetry=telemetry)
     for index, value in zip(pending, computed):
         cache.put(keys[index], value)
         results[index] = value
@@ -335,6 +339,15 @@ def _cached_pmap(
 
 
 # --------------------------------------------------------------- measurements
+#: The counters each rung's ``stats()`` contributes to a
+#: :func:`prototype_response_s` row, in column order.
+_RUNG_COLUMNS = {
+    "theoretical": ("context_switches",),
+    "tlm": ("context_switches", "tlm_transactions", "tlm_contention_wait_cycles"),
+    "prototype": ("bus_utilization", "context_switches", "mpic_timeouts"),
+}
+
+
 def prototype_response_s(
     n_cpus: int = 2,
     utilization: float = 0.5,
@@ -355,83 +368,28 @@ def prototype_response_s(
     or MPIC; the TLM rung has no MPIC acknowledge path and no
     per-cycle ``scale`` (it always runs the full-size workload).
     """
-    taskset = prepare_taskset(
-        build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
-    )
+    taskset = automotive_cell(n_cpus, utilization)
     check_taskset(taskset, n_cpus, tick=TICK)
-    arrival = int(arrival_s * CLOCK_HZ)
-    horizon = arrival + int(horizon_margin_s * CLOCK_HZ)
-    arrivals = {AUTOMOTIVE_APERIODIC: [arrival]}
-
-    if fidelity == "theoretical":
-        from repro.simulators.theoretical import TheoreticalSimulator
-
-        theo = TheoreticalSimulator(
-            taskset, n_cpus, tick=TICK, overhead=0.02, aperiodic_arrivals=arrivals
-        )
-        with _pipeline_span("simulate", fidelity=fidelity, horizon=horizon):
-            theo.run(horizon)
-        metrics = compute_metrics(theo.finished_jobs, horizon)
-        return {
-            "response_s": cycles_to_seconds(
-                metrics.response_of(AUTOMOTIVE_APERIODIC).mean
-            ),
-            "misses": metrics.deadline_misses,
-            "context_switches": theo.context_switches,
-        }
-
-    if fidelity == "tlm":
-        from repro.simulators.tlm import TLMSimulator
-
-        sim = TLMSimulator(
-            taskset,
-            n_cpus,
-            tick=TICK,
-            bindings=bindings if bindings is not None else automotive_bindings(),
-            aperiodic_arrivals=arrivals,
-            costs=costs or KernelCosts(),
-        )
-        with _pipeline_span("simulate", fidelity=fidelity, horizon=horizon):
-            sim.run(horizon)
-        metrics = compute_metrics(sim.finished_jobs, horizon)
-        stats = sim.stats()
-        return {
-            "response_s": cycles_to_seconds(
-                metrics.response_of(AUTOMOTIVE_APERIODIC).mean
-            ),
-            "misses": metrics.deadline_misses,
-            "context_switches": stats["context_switches"],
-            "tlm_transactions": stats["tlm_transactions"],
-            "tlm_contention_wait_cycles": stats["tlm_contention_wait_cycles"],
-        }
-
-    if fidelity != "prototype":
-        raise ValueError(
-            f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
-        )
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale,
-                        costs=costs or KernelCosts()),
+    arrivals, horizon = aperiodic_window(arrival_s, horizon_margin_s)
+    sim = make_simulator(
+        fidelity, taskset, n_cpus, scale=scale, costs=costs,
         bindings=bindings if bindings is not None else automotive_bindings(),
         aperiodic_arrivals=arrivals,
     )
-    if mpic_ack_timeout is not None:
-        proto.soc.intc.ack_timeout = mpic_ack_timeout
+    if mpic_ack_timeout is not None and fidelity == "prototype":
+        sim.soc.intc.ack_timeout = mpic_ack_timeout
     with _pipeline_span("simulate", fidelity=fidelity, horizon=horizon):
-        proto.run(horizon)
-    metrics = compute_metrics(proto.finished_jobs, horizon // scale)
-    response = proto.to_full_scale(
-        int(metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-    )
-    stats = proto.stats()
-    return {
-        "response_s": cycles_to_seconds(response),
-        "misses": metrics.deadline_misses,
-        "bus_utilization": round(stats["bus_utilization"], 4),
-        "context_switches": stats["context_switches"],
-        "mpic_timeouts": stats["mpic_timeouts"],
+        sim.run(horizon)
+    out = Readout(sim, horizon)
+    stats = sim.stats()
+    row = {
+        "response_s": cycles_to_seconds(out.mean_response(AUTOMOTIVE_APERIODIC)),
+        "misses": out.metrics.deadline_misses,
     }
+    row.update((column, stats[column]) for column in _RUNG_COLUMNS[fidelity])
+    if "bus_utilization" in row:
+        row["bus_utilization"] = round(row["bus_utilization"], 4)
+    return row
 
 
 # ------------------------------------------------------------- observability
@@ -468,24 +426,18 @@ def prototype_run_report(
     if trace is None:
         trace = TraceRecorder(sink=RingBufferSink(capacity=65_536))
 
-    taskset = prepare_taskset(
-        build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
-    )
+    taskset = automotive_cell(n_cpus, utilization)
     check_taskset(taskset, n_cpus, tick=TICK)
-    arrival = int(arrival_s * CLOCK_HZ)
-    horizon = arrival + int(horizon_margin_s * CLOCK_HZ)
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
-        bindings=automotive_bindings(),
-        aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
-        trace=trace,
-        metrics=registry,
+    arrivals, horizon = aperiodic_window(arrival_s, horizon_margin_s)
+    proto = make_simulator(
+        "prototype", taskset, n_cpus, scale=scale,
+        bindings=automotive_bindings(), aperiodic_arrivals=arrivals,
+        trace=trace, metrics=registry,
     )
-    scaled_horizon = horizon // scale
+    out = Readout(proto, horizon, trace=trace)
     monitor = BusMonitor(
         proto.soc.sim, proto.soc.bus,
-        window=max(1, scaled_horizon // max(1, monitor_windows)),
+        window=max(1, out.horizon // max(1, monitor_windows)),
     )
     monitor.start()
     proto.run(horizon)
@@ -496,15 +448,12 @@ def prototype_run_report(
     if run_cache is not None:
         fold_run_cache(registry, run_cache)
 
-    metrics = compute_metrics(proto.finished_jobs, scaled_horizon, trace=trace)
-    response = proto.to_full_scale(
-        int(metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-    )
+    response = out.mean_response(AUTOMOTIVE_APERIODIC)
     registry.gauge("aperiodic_response_s",
                    help="mean aperiodic response time (full-scale seconds)").set(
         round(cycles_to_seconds(response), 6))
     registry.gauge("deadline_misses",
-                   help="deadline misses over the run").set(metrics.deadline_misses)
+                   help="deadline misses over the run").set(out.metrics.deadline_misses)
 
     trace.close()
     return RunReport.build(
@@ -656,13 +605,10 @@ def _fault_campaign_cell(
     """One campaign run (module-level so ``pmap`` can pickle it).
 
     The plan is regenerated from the seed inside the cell, so the cell
-    is a pure function of its (cache-keyed) parameters.
+    is a pure function of its (cache-keyed) parameters.  ``fidelity``
+    is the sweep's column: campaigns always drive the prototype, the
+    only rung with a kernel fault surface.
     """
-    if fidelity != "prototype":
-        raise ValueError(
-            "fault campaigns drive the kernel-on-SoC rung; the "
-            f"{fidelity!r} rung has no kernel fault surface"
-        )
     from repro.faults.plan import random_plan
     from repro.faults.scenarios import campaign_cell, demo_taskset
 
@@ -688,7 +634,6 @@ def fault_campaign(
     max_workers: int = 1,
     cache: Optional[RunCache] = None,
     perfetto_out: Optional[str] = None,
-    fidelity: str = "prototype",
     telemetry: Optional[Telemetry] = None,
     ledger: Optional[Ledger] = None,
 ) -> SweepResult:
@@ -707,9 +652,8 @@ def fault_campaign(
     mark every injection, consumed fault, retry, shed and deadline
     miss.
 
-    ``fidelity`` is threaded for cache-key/column uniformity with the
-    other sweeps, but only the ``prototype`` rung carries the
-    kernel-level fault surface, so any other value raises.
+    Rows carry ``fidelity="prototype"`` like every other sweep's: only
+    the prototype rung has the kernel-level fault surface.
 
     ``telemetry`` / ``ledger`` behave as in :func:`sweep`; campaign
     ledger entries are recorded under kind ``campaign``.
@@ -726,7 +670,7 @@ def fault_campaign(
         max_workers=max_workers,
         cache=cache,
         cache_tag="fault_campaign",
-        fidelity=fidelity,
+        fidelity="prototype",
         telemetry=telemetry,
         ledger=ledger,
         ledger_kind="campaign",

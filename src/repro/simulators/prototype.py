@@ -35,15 +35,6 @@ from repro.trace.recorder import TraceRecorder
 #: scaled tick so a slice never spans a whole scheduling period.
 DEFAULT_CHUNK_CYCLES = 2_000
 
-#: The simulation ladder, slowest/most faithful last.  ``theoretical``
-#: is the paper's idealised baseline (flat 2 % overhead), ``tlm`` the
-#: calibrated transaction-level rung (:mod:`repro.simulators.tlm`) and
-#: ``prototype`` the cycle-approximate kernel-on-SoC run.  Defined here
-#: (rather than in the package ``__init__``) so the config dataclass
-#: can validate without an import cycle.
-FIDELITIES = ("theoretical", "tlm", "prototype")
-
-
 @dataclass(frozen=True)
 class PrototypeConfig:
     """Run parameters for the prototype simulator.
@@ -52,11 +43,8 @@ class PrototypeConfig:
     :data:`DEFAULT_CHUNK_CYCLES` clamped against the scaled tick; an
     explicit value is used verbatim -- a user override always wins.
 
-    ``fidelity`` names the simulation rung the config is meant for;
-    :func:`repro.simulators.make_simulator` dispatches on it and
-    experiment cache keys include it, so a TLM run can never alias a
-    prototype result.  The prototype simulator itself only accepts
-    ``fidelity="prototype"`` configs.
+    The config is the prototype rung's alone; experiments pick a rung
+    by name through :func:`repro.simulators.make_simulator`.
     """
 
     n_cpus: int = 2
@@ -64,7 +52,6 @@ class PrototypeConfig:
     scale: int = 1
     chunk_cycles: Optional[int] = None
     costs: KernelCosts = field(default_factory=KernelCosts)
-    fidelity: str = "prototype"
 
     def __post_init__(self):
         if self.scale < 1:
@@ -73,10 +60,6 @@ class PrototypeConfig:
             raise ValueError("tick must be divisible by scale")
         if self.chunk_cycles is not None and self.chunk_cycles <= 0:
             raise ValueError("chunk_cycles must be positive")
-        if self.fidelity not in FIDELITIES:
-            raise ValueError(
-                f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}"
-            )
 
 
 def scale_taskset(taskset: TaskSet, scale: int) -> TaskSet:
@@ -131,12 +114,6 @@ class PrototypeSimulator:
         metrics=None,
         recovery=None,
     ):
-        if config.fidelity != "prototype":
-            raise ValueError(
-                f"PrototypeSimulator requires fidelity='prototype' "
-                f"(got {config.fidelity!r}); use "
-                f"repro.simulators.make_simulator to dispatch on fidelity"
-            )
         self.config = config
         self.scale = config.scale
         self.taskset = scale_taskset(taskset, config.scale)

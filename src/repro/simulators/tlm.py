@@ -137,8 +137,8 @@ class TLMSimulator:
     Drop-in peer of :class:`~repro.simulators.theoretical.TheoreticalSimulator`
     and :class:`~repro.simulators.prototype.PrototypeSimulator`: same
     constructor shape, same trace vocabulary, same ``finished_jobs`` /
-    ``stats()`` queries.  Runs the workload at full scale (``scale`` is
-    structurally 1 -- there is no per-cycle work to amortise).
+    ``stats()`` queries.  Runs the workload at full scale (there is no
+    per-cycle work to amortise).
 
     Parameters
     ----------
@@ -183,9 +183,6 @@ class TLMSimulator:
         self.policy = MPDPScheduler(taskset, n_cpus, promotion_granularity="tick")
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.sim = Simulator()
-        #: Structural scale (kept for interface parity with the
-        #: prototype; the TLM rung always runs full-size workloads).
-        self.scale = 1
 
         self.bindings = dict(bindings or {})
         self._default_binding = TaskBinding()
@@ -299,10 +296,6 @@ class TLMSimulator:
     @property
     def finished_jobs(self) -> List[Job]:
         return self.policy.finished_jobs
-
-    def to_full_scale(self, cycles: int) -> int:
-        """Interface parity with the prototype (TLM is already full-scale)."""
-        return cycles
 
     def stats(self) -> dict:
         return {
@@ -611,25 +604,36 @@ def per_task_wcrt(jobs: Sequence[Job]) -> Dict[str, int]:
 
 
 def _anchor_setup(n_cpus: int, utilization: float):
-    from repro import CLOCK_HZ
+    """A fresh anchor cell: the workload of
+    :func:`repro.experiments.runner.prototype_response_s`'s defaults
+    (arrival at 1 s, horizon 17 s later)."""
     from repro.workloads.automotive import (
-        AUTOMOTIVE_APERIODIC,
+        aperiodic_window,
         automotive_bindings,
-        build_automotive_taskset,
-        prepare_taskset,
+        automotive_cell,
     )
 
-    taskset = prepare_taskset(
-        build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
+    arrivals, horizon = aperiodic_window(1.0, 17.0)
+    return automotive_cell(n_cpus, utilization), automotive_bindings(), arrivals, horizon
+
+
+def _anchor_run(
+    fidelity: str, n_cpus: int, utilization: float, prepared, **options
+) -> Dict[str, Any]:
+    """One run of an anchor cell -> per-task WCRTs (full-scale cycles),
+    deadline misses and finished-job count."""
+    from repro.simulators.ladder import run_rung
+
+    taskset, bindings, arrivals, horizon = (
+        prepared if prepared is not None else _anchor_setup(n_cpus, utilization)
     )
-    arrival = int(1.0 * CLOCK_HZ)
-    horizon = arrival + int(17.0 * CLOCK_HZ)
-    return (
-        taskset,
-        automotive_bindings(),
-        {AUTOMOTIVE_APERIODIC: [arrival]},
-        horizon,
-    )
+    out = run_rung(fidelity, taskset, n_cpus, horizon, bindings=bindings,
+                   aperiodic_arrivals=arrivals, **options)
+    return {
+        "wcrt": out.wcrt(),
+        "misses": out.metrics.deadline_misses,
+        "finished": len(out.sim.finished_jobs),
+    }
 
 
 def anchor_prototype_reference(
@@ -643,28 +647,7 @@ def anchor_prototype_reference(
     exclude the (rung-independent) workload preparation; it must be
     freshly built -- task sets carry run state and are not reusable.
     """
-    from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
-    from repro.trace.metrics import compute_metrics
-
-    taskset, bindings, arrivals, horizon = (
-        prepared if prepared is not None else _anchor_setup(n_cpus, utilization)
-    )
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
-        bindings=bindings,
-        aperiodic_arrivals=arrivals,
-    )
-    proto.run(horizon)
-    metrics = compute_metrics(proto.finished_jobs, horizon // scale)
-    return {
-        "wcrt": {
-            name: proto.to_full_scale(value)
-            for name, value in per_task_wcrt(proto.finished_jobs).items()
-        },
-        "misses": metrics.deadline_misses,
-        "finished": len(proto.finished_jobs),
-    }
+    return _anchor_run("prototype", n_cpus, utilization, prepared, scale=scale)
 
 
 def anchor_tlm_run(
@@ -681,28 +664,8 @@ def anchor_tlm_run(
     :func:`_anchor_setup` result, letting timing harnesses exclude the
     rung-independent workload preparation.
     """
-    from repro.trace.metrics import compute_metrics
-
-    taskset, bindings, arrivals, horizon = (
-        prepared if prepared is not None else _anchor_setup(n_cpus, utilization)
-    )
-    sim = TLMSimulator(
-        taskset,
-        n_cpus,
-        tick=TICK,
-        bindings=bindings,
-        aperiodic_arrivals=arrivals,
-        table=table,
-        trace=trace,
-        metrics=metrics,
-    )
-    sim.run(horizon)
-    schedule_metrics = compute_metrics(sim.finished_jobs, horizon)
-    return {
-        "wcrt": per_task_wcrt(sim.finished_jobs),
-        "misses": schedule_metrics.deadline_misses,
-        "finished": len(sim.finished_jobs),
-    }
+    return _anchor_run("tlm", n_cpus, utilization, prepared,
+                       table=table, trace=trace, metrics=metrics)
 
 
 def _wcrt_deviation(

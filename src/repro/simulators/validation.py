@@ -14,9 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.task import TaskSet
 from repro.kernel.microkernel import TaskBinding
-from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
-from repro.simulators.theoretical import TheoreticalSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators.ladder import run_rung
 
 
 @dataclass(frozen=True)
@@ -86,39 +84,30 @@ def validate(
     All times (tick, horizon, arrivals) are full-scale cycles; the
     prototype is scaled internally and reports back at full scale.
     """
-    theoretical = TheoreticalSimulator(
-        taskset, n_cpus, tick=tick, overhead=overhead,
-        aperiodic_arrivals=aperiodic_arrivals,
+    theo, proto = (
+        run_rung(fidelity, taskset, n_cpus, horizon, tick=tick, scale=scale,
+                 overhead=overhead, bindings=bindings,
+                 aperiodic_arrivals=aperiodic_arrivals)
+        for fidelity in ("theoretical", "prototype")
     )
-    theoretical.run(horizon)
-    theo_metrics = compute_metrics(theoretical.finished_jobs, horizon)
-
-    prototype = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=tick, scale=scale),
-        bindings=bindings,
-        aperiodic_arrivals=aperiodic_arrivals,
-    )
-    prototype.run(horizon)
-    proto_metrics = compute_metrics(prototype.finished_jobs, horizon // scale)
 
     comparisons: List[TaskComparison] = []
     periodic_names = {t.name for t in taskset.periodic}
-    for name in sorted(set(theo_metrics.response) & set(proto_metrics.response)):
-        theo = theo_metrics.response[name]
-        proto = proto_metrics.response[name]
+    for name in sorted(set(theo.metrics.response) & set(proto.metrics.response)):
+        theo_stats = theo.metrics.response[name]
+        proto_stats = proto.metrics.response[name]
         comparisons.append(
             TaskComparison(
                 task=name,
                 is_periodic=name in periodic_names,
-                theoretical_mean=theo.mean,
-                prototype_mean=float(proto.mean * scale),
-                jobs_theoretical=theo.count,
-                jobs_prototype=proto.count,
+                theoretical_mean=theo_stats.mean,
+                prototype_mean=float(proto.full_scale(proto_stats.mean)),
+                jobs_theoretical=theo_stats.count,
+                jobs_prototype=proto_stats.count,
             )
         )
     return ValidationResult(
         comparisons=comparisons,
-        theoretical_misses=theo_metrics.deadline_misses,
-        prototype_misses=proto_metrics.deadline_misses,
+        theoretical_misses=theo.metrics.deadline_misses,
+        prototype_misses=proto.metrics.deadline_misses,
     )

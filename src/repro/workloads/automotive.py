@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import CLOCK_HZ, TICK
 from repro.analysis.partitioning import partition
 from repro.analysis.promotion import assign_promotions
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
@@ -122,6 +123,22 @@ def prepare_taskset(
     """Partition + promotion analysis, tick-rounded (full pipeline)."""
     assigned = partition(taskset, n_cpus, heuristic=heuristic)
     return assign_promotions(assigned, n_cpus, tick=tick)
+
+
+def automotive_cell(n_cpus: int, utilization: float) -> TaskSet:
+    """The analysed task set of one Figure-4 cell (scheduling tick :data:`TICK`)."""
+    return prepare_taskset(
+        build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
+    )
+
+
+def aperiodic_window(
+    arrival_s: float, horizon_margin_s: float
+) -> Tuple[Dict[str, List[int]], int]:
+    """One aperiodic arrival at ``arrival_s`` and the horizon
+    ``horizon_margin_s`` after it, in full-scale cycles."""
+    arrival = int(arrival_s * CLOCK_HZ)
+    return {AUTOMOTIVE_APERIODIC: [arrival]}, arrival + int(horizon_margin_s * CLOCK_HZ)
 
 
 def automotive_bindings() -> Dict[str, TaskBinding]:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import assign_promotions, partition
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
-from repro.simulators import FIDELITIES, PrototypeConfig, make_simulator
+from repro.simulators import FIDELITIES, make_simulator
 from repro.simulators.abstract import merge_arrivals
 
 
@@ -28,5 +28,4 @@ def test_extra_times_follow_the_tasks_own():
 @pytest.mark.parametrize("fidelity", FIDELITIES)
 def test_every_rung_rejects_arrivals_for_a_periodic_task(fidelity):
     with pytest.raises(TypeError, match="not an aperiodic task"):
-        make_simulator(tasks(), PrototypeConfig(n_cpus=2, fidelity=fidelity),
-                       aperiodic_arrivals={"p": [0]})
+        make_simulator(fidelity, tasks(), 2, aperiodic_arrivals={"p": [0]})
