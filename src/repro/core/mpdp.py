@@ -17,6 +17,9 @@ paper's implementation variations (Section 4.2):
 - a job already running on a processor that is assigned the same job
   again is not context-switched.
 
+Allocation is incremental (see :meth:`MPDPScheduler.allocate`): a
+decision recomputes only what changed since the previous one.
+
 The policy is substrate-free: callers (the theoretical simulator and
 the full-system microkernel) own time and call in at scheduling points.
 """
@@ -24,7 +27,7 @@ the full-system microkernel) own time and call in at scheduling points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.queues import (
     AperiodicReadyQueue,
@@ -92,6 +95,11 @@ class MPDPScheduler:
         self.local = [HighPriorityLocalQueue(cpu) for cpu in range(n_cpus)]
         self.running: List[Optional[Job]] = [None] * n_cpus
 
+        # The assignment the last allocation settled on, or None once a
+        # queue changed since (every queue mutation goes through a
+        # method below that clears it).
+        self._decided: Optional[List[Optional[Job]]] = None
+
         self.finished_jobs: List[Job] = []
         self.released_count = 0
         self.promotion_count = 0
@@ -106,9 +114,11 @@ class MPDPScheduler:
     def release_due(self, now: int) -> List[Job]:
         """Move periodic jobs whose release time passed into the PRQ."""
         released = self.waiting.pop_released(now)
-        for job in released:
-            self.periodic_ready.push(job)
-            self.released_count += 1
+        if released:
+            self._decided = None
+            for job in released:
+                self.periodic_ready.push(job)
+            self.released_count += len(released)
         return released
 
     def add_aperiodic(self, job: Job) -> None:
@@ -117,6 +127,7 @@ class MPDPScheduler:
             raise TypeError("add_aperiodic requires an aperiodic job")
         job.state = JobState.READY
         self.aperiodic_ready.push(job)
+        self._decided = None
 
     def promote_due(self, now: int) -> List[Job]:
         """Promote every unpromoted periodic job whose U_i has passed.
@@ -125,17 +136,18 @@ class MPDPScheduler:
         lower band; the latter stay in ``running`` but flip to the upper
         band, which may force a migration at the next allocation.
         """
-        promoted: List[Job] = []
         # ``release + task.promotion`` inlined from Job.promotion_time:
         # require_analysed() guaranteed promotion is set, and this scan
         # runs every scheduling cycle.
-        for job in list(self.periodic_ready):
-            if job.release + job.task.promotion <= now:
-                self.periodic_ready.remove(job)
-                job.promoted = True
-                self.local[job.task.cpu].push(job)
-                promoted.append(job)
-        for cpu, job in enumerate(self.running):
+        promoted = [
+            job for job in self.periodic_ready
+            if job.release + job.task.promotion <= now
+        ]
+        for job in promoted:
+            self.periodic_ready.remove(job)
+            job.promoted = True
+            self.local[job.task.cpu].push(job)
+        for job in self.running:
             if (
                 job is not None
                 and job.is_periodic
@@ -144,7 +156,9 @@ class MPDPScheduler:
             ):
                 job.promoted = True
                 promoted.append(job)
-        self.promotion_count += len(promoted)
+        if promoted:
+            self._decided = None
+            self.promotion_count += len(promoted)
         return promoted
 
     def next_promotion_time(self) -> Optional[int]:
@@ -165,7 +179,9 @@ class MPDPScheduler:
         """Handle a completed job; re-arm periodic tasks.
 
         Returns the next job instance for periodic tasks (already parked
-        in the WPQ), or None for aperiodic jobs.
+        in the WPQ), or None for aperiodic jobs.  Its one change that an
+        allocation sees is the freed processor, which :meth:`allocate`
+        reads off ``running`` as a completion.
         """
         if job.remaining > 0:
             raise ValueError(f"{job.name} finished with {job.remaining} cycles left")
@@ -182,90 +198,156 @@ class MPDPScheduler:
         self.waiting.push(next_job)
         return next_job
 
+    def shed(self, job: Job, now: int) -> Optional[Job]:
+        """Complete a just-released periodic job at zero cost.
+
+        The job leaves the PRQ, is marked ``shed`` and goes through
+        :meth:`job_finished`, so its next instance still parks in the
+        WPQ.  Returns that next instance.
+        """
+        self.periodic_ready.remove(job)
+        self._decided = None
+        job.remaining = 0
+        job.shed = True
+        return self.job_finished(job, now)
+
     # -------------------------------------------------------------- allocation
     def allocate(self, now: int) -> Allocation:
         """Compute the MPDP assignment of ready jobs to processors.
 
-        Running jobs are folded back into the candidate pool, the
-        assignment is recomputed from scratch following the MPDP rules,
-        and the diff against the previous assignment yields the set of
-        context switches.  Jobs keep their processor when possible to
-        avoid gratuitous migrations.
-        """
-        previous = list(self.running)
+        The result is the one a from-scratch allocation would reach --
+        fold every running job back into its queue, pop the assignment
+        by rules 1-3, keep each job on its previous processor when
+        possible, and diff against the previous assignment -- computed
+        from what changed since the last call:
 
-        # Fold running jobs back into their logical queues.
-        for cpu, job in enumerate(self.running):
+        - nothing (no queue mutation, ``running`` as last decided): the
+          same assignment, no switches, no queue or job touched;
+        - completions only (some processors went free): each free
+          processor takes its queue head, in cpu order, the fixpoint
+          documented in :meth:`refill`;
+        - otherwise :meth:`_reallocate`, which merges the running jobs
+          with the queue heads instead of folding them back.
+        """
+        running = self.running
+        decided = self._decided
+        if decided is not None:
+            # Jobs compare by identity (Job defines no __eq__).
+            if running == decided:
+                return Allocation(assignment=list(running))
+            if all(job is None or job is last for job, last in zip(running, decided)):
+                switches: List[int] = []
+                for cpu, job in enumerate(running):
+                    if job is None and self._take(cpu, now) is not None:
+                        switches.append(cpu)
+                self._decided = list(running)
+                return Allocation(assignment=list(running), switches=switches)
+        return self._reallocate(now)
+
+    def _reallocate(self, now: int) -> Allocation:
+        """Rules 1-3 over the running jobs merged with the queue heads.
+
+        A from-scratch allocation folds the running jobs into their
+        queues first.  Here each running job instead competes with the
+        head of the queue it would have joined, and only the jobs that
+        lose their processor are pushed back.  The fold-back requeued
+        running aperiodic jobs at the ARQ head in cpu order, so they
+        lead the middle band in *reverse* cpu order; that order decides
+        which of them keep running when the slots shrink.
+        """
+        n_cpus = self.n_cpus
+        previous = self.running
+        assignment: List[Optional[Job]] = [None] * n_cpus
+        aperiodic: List[int] = []  # cpus running a middle-band job
+        lower: List[int] = []      # cpus running an unpromoted periodic job
+        upper: List[int] = []      # cpus running a promoted job
+        for cpu, job in enumerate(previous):
             if job is None:
                 continue
-            if job.is_periodic and job.promoted:
-                self.local[job.task.cpu].push(job)
-            elif job.is_periodic:
-                self.periodic_ready.push(job)
+            if not job.is_periodic:
+                aperiodic.append(cpu)
+            elif job.promoted:
+                upper.append(cpu)
             else:
-                self.aperiodic_ready.requeue_front(job)
-            self.running[cpu] = None
+                lower.append(cpu)
 
-        assignment: List[Optional[Job]] = [None] * self.n_cpus
-
-        # Rule 1: local queues bind their processor.
-        for cpu in range(self.n_cpus):
-            if len(self.local[cpu]):
+        # Rule 1: local queues bind their processor.  A running promoted
+        # job competes with its home queue's head (a job promoted while
+        # running in the lower band may sit on a foreign cpu).
+        for cpu in upper:
+            job = previous[cpu]
+            home = job.task.cpu
+            queue = self.local[home]
+            rival = assignment[home]
+            if rival is not None and queue.rank(rival) < queue.rank(job):
+                queue.push(job)
+            elif queue.outranks_head(job):
+                if rival is not None:
+                    queue.push(rival)
+                assignment[home] = job
+            else:
+                queue.push(job)
+        for cpu in range(n_cpus):
+            if assignment[cpu] is None and len(self.local[cpu]):
                 assignment[cpu] = self.local[cpu].pop()
+        slots = assignment.count(None)
 
-        slots = sum(1 for cpu in range(self.n_cpus) if assignment[cpu] is None)
-
-        # Rule 2: aperiodic jobs, oldest first, onto free processors.
-        chosen: List[Job] = []
-        for job in self.aperiodic_ready:
-            if slots == 0:
-                break
-            chosen.append(job)
+        # Rules 2 and 3 choose ``slots`` global jobs as (job, previous
+        # cpu or None), in the order a from-scratch pass would see them.
+        chosen: List[Tuple[Job, Optional[int]]] = []
+        arq = self.aperiodic_ready
+        kept = min(slots, len(aperiodic))
+        for cpu in aperiodic[:len(aperiodic) - kept]:
+            arq.requeue_front(previous[cpu])
+        for cpu in reversed(aperiodic[len(aperiodic) - kept:]):
+            chosen.append((previous[cpu], cpu))
+        slots -= kept
+        while slots and len(arq):
+            chosen.append((arq.pop(), None))
+            slots -= 1
+        prq = self.periodic_ready
+        if len(lower) > 1:
+            lower.sort(key=lambda cpu: prq.rank(previous[cpu]))
+        for cpu in lower:
+            job = previous[cpu]
+            while slots and not prq.outranks_head(job):
+                chosen.append((prq.pop(), None))
+                slots -= 1
+            if slots:
+                chosen.append((job, cpu))
+                slots -= 1
+            else:
+                prq.push(job)
+        while slots and len(prq):
+            chosen.append((prq.pop(), None))
             slots -= 1
 
-        # Rule 3: unpromoted periodic jobs by lower-band priority.
-        for job in self.periodic_ready:
-            if slots == 0:
-                break
-            chosen.append(job)
-            slots -= 1
-
-        # Place chosen global jobs, honouring affinity with the previous
+        # Place the chosen jobs, honouring affinity with the previous
         # assignment to minimise context switches/migrations.
-        free = [cpu for cpu in range(self.n_cpus) if assignment[cpu] is None]
         remaining: List[Job] = []
-        for job in chosen:
-            prev_cpu = self._previous_cpu(job, previous)
-            if prev_cpu is not None and prev_cpu in free:
-                assignment[prev_cpu] = job
-                free.remove(prev_cpu)
+        for job, cpu in chosen:
+            if cpu is not None and assignment[cpu] is None:
+                assignment[cpu] = job
             else:
                 remaining.append(job)
-        for job in remaining:
-            assignment[free.pop(0)] = job
-
-        # Remove placed jobs from the global queues.
-        for cpu, job in enumerate(assignment):
-            if job is None:
-                continue
-            if job.is_periodic and not job.promoted and job in self.periodic_ready:
-                self.periodic_ready.remove(job)
-            elif not job.is_periodic and job in self.aperiodic_ready:
-                self.aperiodic_ready.remove(job)
+        if remaining:
+            free = iter([cpu for cpu in range(n_cpus) if assignment[cpu] is None])
+            for job in remaining:
+                assignment[next(free)] = job
 
         # Diff with the previous assignment.
         switches: List[int] = []
         preempted: List[Job] = []
-        for cpu in range(self.n_cpus):
+        for cpu in range(n_cpus):
             if assignment[cpu] is not previous[cpu]:
                 switches.append(cpu)
-        placed = set(id(j) for j in assignment if j is not None)
         for job in previous:
-            if job is not None and id(job) not in placed and job.remaining > 0:
+            if job is not None and job not in assignment and job.remaining > 0:
                 job.record_preemption()
                 preempted.append(job)
 
         self.running = list(assignment)
+        self._decided = list(assignment)
         for cpu, job in enumerate(assignment):
             if job is not None:
                 job.record_dispatch(cpu, now)
@@ -291,6 +373,11 @@ class MPDPScheduler:
         """
         if self.running[cpu] is not None:
             raise ValueError(f"cpu {cpu} is not free")
+        self._decided = None
+        return self._take(cpu, now)
+
+    def _take(self, cpu: int, now: int) -> Optional[Job]:
+        """Dispatch the highest-standing queued job onto free ``cpu``."""
         if len(self.local[cpu]):
             job = self.local[cpu].pop()
         elif len(self.aperiodic_ready):
@@ -302,12 +389,6 @@ class MPDPScheduler:
         self.running[cpu] = job
         job.record_dispatch(cpu, now)
         return job
-
-    def _previous_cpu(self, job: Job, previous: Sequence[Optional[Job]]) -> Optional[int]:
-        for cpu, prev in enumerate(previous):
-            if prev is job:
-                return cpu
-        return None
 
     # ---------------------------------------------------------------- queries
     def ready_job_count(self) -> int:

@@ -14,7 +14,7 @@ simulator and the full-system microkernel reuse them unchanged.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Deque, Iterator, List, Optional, Tuple
 
@@ -22,32 +22,29 @@ from repro.core.task import Job, JobState
 
 
 class _SortedJobQueue:
-    """Base: a list kept sorted by a job key, largest key first.
+    """Base: a list kept sorted by a job rank, lowest rank (highest
+    priority) first.
 
-    A parallel list of cached keys avoids recomputing ``_key`` for every
-    resident job on each insertion -- the fold-back in
-    :meth:`repro.core.mpdp.MPDPScheduler.allocate` pushes at every
-    scheduling event, and a key never changes while a job sits in a
-    queue (promotion removes before re-inserting).
+    A parallel list of cached ranks lets :meth:`push` bisect instead of
+    recomputing :meth:`rank` for every resident job; a rank never
+    changes while a job sits in a queue (promotion removes before
+    re-inserting).
     """
 
     def __init__(self):
         self._jobs: List[Job] = []
         self._keys: List[tuple] = []
 
-    def _key(self, job: Job):
+    def rank(self, job: Job) -> tuple:
+        """The job's rank: smaller ranks are served first."""
         raise NotImplementedError
 
     def push(self, job: Job) -> None:
         """Insert maintaining order (stable for equal keys)."""
-        key = self._key(job)
-        for i, other_key in enumerate(self._keys):
-            if other_key < key:
-                self._jobs.insert(i, job)
-                self._keys.insert(i, key)
-                return
-        self._jobs.append(job)
-        self._keys.append(key)
+        key = self.rank(job)
+        index = bisect_right(self._keys, key)
+        self._jobs.insert(index, job)
+        self._keys.insert(index, key)
 
     def pop(self) -> Job:
         """Remove and return the highest-priority job."""
@@ -60,6 +57,11 @@ class _SortedJobQueue:
         """The highest-priority job, or None."""
         return self._jobs[0] if self._jobs else None
 
+    def outranks_head(self, job: Job) -> bool:
+        """True when ``job`` would be served before the current head
+        (always, on an empty queue); the queue is not changed."""
+        return not self._keys or self.rank(job) < self._keys[0]
+
     def remove(self, job: Job) -> None:
         """Remove a specific job (promotion pulls jobs mid-queue)."""
         index = self._jobs.index(job)
@@ -70,7 +72,8 @@ class _SortedJobQueue:
         return len(self._jobs)
 
     def __iter__(self) -> Iterator[Job]:
-        return iter(list(self._jobs))
+        """Jobs in service order; do not mutate the queue meanwhile."""
+        return iter(self._jobs)
 
     def __contains__(self, job: Job) -> bool:
         return job in self._jobs
@@ -83,12 +86,12 @@ class _SortedJobQueue:
 class PeriodicReadyQueue(_SortedJobQueue):
     """Released, unpromoted periodic jobs, by lower-band priority."""
 
-    def _key(self, job: Job):
+    def rank(self, job: Job) -> tuple:
         if not job.is_periodic:
             raise TypeError("PeriodicReadyQueue only holds periodic jobs")
         if job.promoted:
             raise ValueError(f"{job.name} is promoted; belongs in a local queue")
-        return (job.task.low_priority, -job.release, -job.uid)
+        return (-job.task.low_priority, job.release, job.uid)
 
 
 class HighPriorityLocalQueue(_SortedJobQueue):
@@ -109,8 +112,8 @@ class HighPriorityLocalQueue(_SortedJobQueue):
             )
         super().push(job)
 
-    def _key(self, job: Job):
-        return (job.task.high_priority, -job.release, -job.uid)
+    def rank(self, job: Job) -> tuple:
+        return (-job.task.high_priority, job.release, job.uid)
 
 
 class AperiodicReadyQueue:
@@ -144,7 +147,8 @@ class AperiodicReadyQueue:
         return len(self._jobs)
 
     def __iter__(self) -> Iterator[Job]:
-        return iter(list(self._jobs))
+        """Jobs in FIFO order; do not mutate the queue meanwhile."""
+        return iter(self._jobs)
 
     def __contains__(self, job: Job) -> bool:
         return job in self._jobs
@@ -176,12 +180,12 @@ class WaitingPeriodicQueue:
 
     def pop_released(self, now: int) -> List[Job]:
         """Remove and return every job whose release time has passed."""
-        released: List[Job] = []
-        while self._jobs and self._jobs[0].release <= now:
-            job = self._jobs.pop(0)
-            del self._keys[0]
+        count = bisect_left(self._keys, (now + 1,))
+        released = self._jobs[:count]
+        del self._jobs[:count]
+        del self._keys[:count]
+        for job in released:
             job.state = JobState.READY
-            released.append(job)
         return released
 
     def next_release(self) -> Optional[int]:

@@ -135,6 +135,7 @@ class MultiprocessorInterruptController:
         # Statistics.
         self.delivered = 0
         self.timeouts = 0
+        self.spurious = 0
         self.ipis_sent = 0
         self.max_parallel_handlers = 0
 
@@ -291,14 +292,17 @@ class MultiprocessorInterruptController:
         """Free = reception enabled and not servicing an interrupt."""
         return self._enabled[cpu] and self._in_service[cpu] is None
 
-    def acknowledge(self, cpu: int) -> Tuple[InterruptSource, Any]:
+    def acknowledge(self, cpu: int) -> Optional[Tuple[InterruptSource, Any]]:
         """The core's handler claims the highest-pending offer.
 
-        Models the OPB register read; returns (source, payload).
-        Raises if nothing is pending (spurious interrupt).
+        Models the OPB register read; returns (source, payload).  With
+        nothing pending -- the ack timeout withdrew the offer while the
+        read waited for the bus -- the read is spurious: it is counted
+        in ``spurious`` and returns None, and the cpu stays free.
         """
         if not self._offers[cpu]:
-            raise RuntimeError(f"cpu {cpu}: spurious interrupt acknowledge")
+            self.spurious += 1
+            return None
         pending = self._offers[cpu].popleft()
         pending.delivered_at = self.sim.now
         self._in_service[cpu] = pending

@@ -124,6 +124,7 @@ class DualPriorityMicrokernel:
         self.scheduling_cycles = 0
         self.aperiodic_releases = 0
         self.irqs_serviced = 0
+        self.spurious_irqs = 0
         self._started = False
 
         # Fault-recovery state (docs/FAULTS.md).  ``_faults_armed``
@@ -283,7 +284,14 @@ class DualPriorityMicrokernel:
         while intc.pending_for(cpu):
             # Acknowledge: MPIC register read over the OPB.
             yield from core.bus.transfer(cpu, intc.REGISTERS, 1)
-            source, payload = intc.acknowledge(cpu)
+            claimed = intc.acknowledge(cpu)
+            if claimed is None:
+                # The offer timed out while the read waited for the bus:
+                # nothing to handle and nothing to end.
+                self.spurious_irqs += 1
+                self.trace.record(self.sim.now, "irq", cpu=cpu, info="spurious")
+                continue
+            source, payload = claimed
             yield self.sim.timeout(self.costs.irq_entry)
             self.irqs_serviced += 1
             kind = (payload or {}).get("kind", source.name)
@@ -515,20 +523,16 @@ class DualPriorityMicrokernel:
     def _shed_released(self, released: List[Job], now: int) -> List[Job]:
         """Drop just-released jobs of shed tasks (degraded mode only).
 
-        A shed job is completed instantly at zero cost: removed from
-        the PRQ, marked ``shed``, and run through ``job_finished`` so
-        its next instance still parks in the WPQ (un-shedding future
-        configs stays possible).  In-flight jobs of shed tasks are
-        never aborted -- shedding applies to releases after the
-        degradation point.
+        A shed job is completed instantly at zero cost by
+        :meth:`MPDPScheduler.shed`, so its next instance still parks in
+        the WPQ (un-shedding future configs stays possible).  In-flight
+        jobs of shed tasks are never aborted -- shedding applies to
+        releases after the degradation point.
         """
         kept: List[Job] = []
         for job in released:
             if job.task.name in self._shed_tasks:
-                self.policy.periodic_ready.remove(job)
-                job.remaining = 0
-                job.shed = True
-                self.policy.job_finished(job, now)
+                self.policy.shed(job, now)
                 self.jobs_shed += 1
                 self.trace.record(now, "shed", job=job.name)
             else:
@@ -545,8 +549,11 @@ class DualPriorityMicrokernel:
         if deadline is None:
             return
         # +1: a completion event in the deadline cycle itself must be
-        # seen as a meet (finish_time == deadline is on time).
-        self.sim.schedule_at(deadline + 1, lambda j=job: self._watchdog_check(j))
+        # seen as a meet (finish_time == deadline is on time).  A job
+        # released after its deadline (an overloaded tick grid) is
+        # checked at once and counts as a miss.
+        self.sim.schedule_at(max(deadline + 1, self.sim.now),
+                             lambda j=job: self._watchdog_check(j))
 
     def _watchdog_check(self, job: Job) -> None:
         if job.shed:
@@ -626,6 +633,7 @@ class DualPriorityMicrokernel:
             "scheduling_cycles": self.scheduling_cycles,
             "aperiodic_releases": self.aperiodic_releases,
             "irqs_serviced": self.irqs_serviced,
+            "spurious_irqs": self.spurious_irqs,
             "bus_busy_cycles": self.soc.bus.stats.busy_cycles,
             "bus_utilization": self.soc.bus.stats.utilization(max(1, self.sim.now)),
             "mpic_delivered": self.soc.intc.delivered,

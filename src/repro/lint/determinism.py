@@ -53,7 +53,7 @@ WALL_CLOCK_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 
 #: Default trees scanned by ``repro-lint determinism`` and the pytest tier.
 DEFAULT_PATHS = ("src/repro/sim", "src/repro/hw", "src/repro/kernel",
-                 "src/repro/faults", "src/repro/simulators")
+                 "src/repro/faults", "src/repro/simulators", "src/repro/core")
 
 
 def _dotted(node: ast.AST) -> str:

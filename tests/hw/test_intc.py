@@ -174,10 +174,11 @@ def test_reenabling_delivers_parked():
     assert lines.state == [True]
 
 
-def test_spurious_ack_raises():
+def test_spurious_ack_is_counted():
     sim, intc, _ = setup()
-    with pytest.raises(RuntimeError):
-        intc.acknowledge(0)
+    assert intc.acknowledge(0) is None
+    assert intc.spurious == 1 and intc.delivered == 0
+    assert intc.cpu_is_free(0)
 
 
 def test_eoi_without_service_raises():

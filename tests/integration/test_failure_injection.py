@@ -90,6 +90,30 @@ def test_stuck_cpu_rerouted_by_mpic_timeout():
     _src, _payload = soc.intc.acknowledge(1)
 
 
+def test_bus_stall_over_acknowledge_is_a_spurious_irq():
+    """A stall holds the bus past the MPIC ack timeout while both cpus'
+    acknowledge reads wait for it: the offer moves on, and each read
+    that finds nothing is counted and traced, not raised."""
+    ts = TaskSet([PeriodicTask(name="p", wcet=5_000, period=100_000)])
+    ts = assign_promotions(partition(ts, 2), 2, tick=TICK)
+    soc = SoC(SoCConfig(n_cpus=2, tick_cycles=TICK))
+    dev = soc.intc.add_source("dev")
+
+    def stall_then_raise():
+        soc.sim.process(soc.bus.stall(5_000))
+        soc.intc.raise_interrupt(dev, payload={"kind": "dev"})
+
+    soc.sim.schedule(30_000, stall_then_raise)
+    trace = TraceRecorder()
+    kernel = DualPriorityMicrokernel(soc, ts, trace=trace)
+    kernel.run(until=300_000)
+    irqs = [(e.time, e.cpu, e.info) for e in trace.events
+            if e.kind == "irq" and 30_000 <= e.time < 40_000]
+    assert irqs == [(35_003, 0, "spurious"), (35_006, 1, "spurious"), (35_089, 0, "dev")]
+    assert kernel.stats()["spurious_irqs"] == soc.intc.spurious == 2
+    assert soc.intc.timeouts == 2
+
+
 def test_bus_hog_cannot_starve_higher_priority_master():
     sim = Simulator()
     bus = OPBBus(sim)

@@ -63,6 +63,21 @@ class TestPeriodicExecution:
         kernel.run(until=500_000)
         assert not any(j.missed_deadline for j in kernel.finished_jobs)
 
+    def test_job_released_after_its_deadline_is_a_miss(self):
+        """The tick grid releases ``late`` at 20 k, past its 7 k
+        deadline: the watchdog checks it at once and counts a miss."""
+        late = PeriodicTask(name="late", wcet=1_000, period=100_000, deadline=2_000,
+                            offset=5_000, cpu=0, promotion=0)
+        soc = SoC(SoCConfig(n_cpus=1, tick_cycles=TICK, chunk_cycles=1_000))
+        trace = TraceRecorder()
+        kernel = DualPriorityMicrokernel(soc, TaskSet([late]), trace=trace)
+        kernel.run(until=150_000)
+        misses = [(e.time, e.job) for e in trace.events if e.kind == "deadline_miss"]
+        releases = [(e.time, e.job) for e in trace.events if e.kind == "release"]
+        assert misses == releases and len(misses) == 2
+        assert kernel.stats()["deadline_misses"] == 2
+        assert all(job.missed_deadline for job in kernel.finished_jobs)
+
 
 class TestAperiodicPath:
     def test_interrupt_releases_aperiodic(self):
